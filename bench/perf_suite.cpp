@@ -21,12 +21,14 @@
 ///  * admission — churn traces (gen/scenario Fixed family) with
 ///    n in {10, 100, 1000} resident tasks and pool utilization
 ///    U in {0.7, 0.9, 0.99}, replayed through two AdmissionControllers
-///    that differ only in `use_slack_index`: OFF is the pre-index
-///    behavior (every scan walks the whole checkpoint array), ON
-///    fast-forwards buckets proven slack by earlier scans (engaging
-///    adaptively by resident count, so small-n cells no longer pay
-///    index maintenance they cannot amortize). Decisions are asserted
-///    identical event-for-event before timing is trusted. Both run
+///    that differ only in their index-engagement thresholds (the
+///    set_index_thresholds seam): OFF never engages (SIZE_MAX, SIZE_MAX
+///    — the pre-index behavior, every scan walks the whole checkpoint
+///    array), ON keeps the default hysteresis and fast-forwards buckets
+///    proven slack by earlier scans (engaging adaptively by resident
+///    count, so small-n cells no longer pay index maintenance they
+///    cannot amortize). Decisions are asserted identical
+///    event-for-event before timing is trusted. Both run
 ///    `skip_exact` (rung <= 2); one full-ladder cell is replayed as an
 ///    additional agreement anchor. Headline: n=1000, U=0.99.
 ///
@@ -46,9 +48,10 @@
 ///  * removal — a drain of half the resident set through the
 ///    tombstoned store (departures mark checkpoints dead, O(level))
 ///    vs eager compaction (the pre-tombstone per-removal segment
-///    erase), on a single-segment store where the memmove cost is
-///    maximal. Tombstoned ns/removal should stay flat as n grows;
-///    eager scales with the store size.
+///    erase, IncrementalDemand's eager reference mode), on a
+///    single-segment store where the memmove cost is maximal.
+///    Tombstoned ns/removal should stay flat as n grows; eager scales
+///    with the store size.
 ///
 ///  * read — concurrent-read throughput of AdmissionEngine::stats():
 ///    `read_qps` polls the epoch-versioned wait-free headers while a
@@ -221,6 +224,10 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 ///              thriftiest per-task client (no failure attribution).
 enum class GroupMode { Batch, FullLoop, ShortLoop };
 
+/// Cached-slack index arm of a replay: the default adaptive engagement,
+/// or never engaged (the pre-index baseline).
+enum class IndexArm : std::uint8_t { Adaptive, Off };
+
 /// Replays a trace through one controller, tracking key -> ids so the
 /// compared paths can be stepped in lockstep.
 struct Shadow {
@@ -229,8 +236,11 @@ struct Shadow {
   std::vector<std::pair<std::uint64_t, std::vector<TaskId>>> live;
 
   explicit Shadow(const AdmissionOptions& o,
-                  GroupMode m = GroupMode::Batch)
-      : ctl(o), mode(m) {}
+                  GroupMode m = GroupMode::Batch,
+                  IndexArm index = IndexArm::Adaptive)
+      : ctl(o), mode(m) {
+    if (index == IndexArm::Off) ctl.set_index_thresholds(SIZE_MAX, SIZE_MAX);
+  }
 
   /// Returns the admit decision for arrivals, true for departures.
   bool step(const TraceEvent& ev) {
@@ -368,17 +378,13 @@ AdmissionRow run_admission_cell(std::size_t n, double u, std::size_t events,
   const std::vector<TraceEvent> trace =
       make_trace(n, u, events, seed, 0.0, 1);
 
-  AdmissionOptions base;
-  base.epsilon = epsilon;
-  base.skip_exact = !ladder;
-  AdmissionOptions old_opts = base;
-  old_opts.use_slack_index = false;
-  AdmissionOptions new_opts = base;
-  new_opts.use_slack_index = true;
+  AdmissionOptions opts;
+  opts.epsilon = epsilon;
+  opts.skip_exact = !ladder;
 
   {
-    Shadow oldp(old_opts);
-    Shadow newp(new_opts);
+    Shadow oldp(opts, GroupMode::Batch, IndexArm::Off);
+    Shadow newp(opts);
     assert_agreement(trace, oldp, newp, "index on/off");
   }
 
@@ -388,10 +394,12 @@ AdmissionRow run_admission_cell(std::size_t n, double u, std::size_t events,
   row.events = trace.size();
   row.ladder = ladder;
   const double total = static_cast<double>(trace.size());
-  row.old_dps =
-      total / timed_replay(trace, [&] { return Shadow(old_opts); }, reps);
+  const auto index_off = [&] {
+    return Shadow(opts, GroupMode::Batch, IndexArm::Off);
+  };
+  row.old_dps = total / timed_replay(trace, index_off, reps);
   row.new_dps =
-      total / timed_replay(trace, [&] { return Shadow(new_opts); }, reps);
+      total / timed_replay(trace, [&] { return Shadow(opts); }, reps);
   row.speedup = row.new_dps / row.old_dps;
   return row;
 }
@@ -552,7 +560,8 @@ RemovalRow run_removal_cell(std::size_t n, double epsilon,
   const auto timed = [&](bool eager) {
     double best = 1e300;
     for (std::int64_t rep = 0; rep < reps; ++rep) {
-      IncrementalDemand d(epsilon, /*use_slack_index=*/false, eager);
+      IncrementalDemand d(epsilon, /*eager_compaction=*/eager);
+      d.set_index_thresholds(SIZE_MAX, SIZE_MAX);  // single segment
       d.reserve(ts.size());  // bulk load: one reservation up front
       std::vector<TaskId> ids;
       ids.reserve(ts.size());
@@ -833,7 +842,6 @@ ObsRow run_obs_cell(obs::Obs& obs, std::size_t n, double u,
   AdmissionOptions opts;
   opts.epsilon = epsilon;
   opts.skip_exact = true;  // headline configuration: rung <= 2
-  opts.use_slack_index = true;
 
   const auto run_once = [&](bool instrumented) {
     Shadow shadow(opts);
@@ -898,7 +906,6 @@ FaultRow run_fault_cell(std::size_t n, double u, std::size_t events,
   AdmissionOptions opts;
   opts.epsilon = epsilon;
   opts.skip_exact = true;  // headline configuration: rung <= 2
-  opts.use_slack_index = true;
   const std::string wal = "perf_fault.tmp.wal";
 
   const auto run_once = [&](bool armed) {
@@ -971,7 +978,6 @@ NetRow run_net_cell(std::size_t n, double u, std::size_t events,
   AdmissionOptions opts;
   opts.epsilon = epsilon;
   opts.skip_exact = true;
-  opts.use_slack_index = true;
 
   NetRow row;
   row.n = n;
@@ -1078,7 +1084,6 @@ ReplRow run_repl_cell(std::size_t n, double u, std::size_t events,
   AdmissionOptions opts;
   opts.epsilon = epsilon;
   opts.skip_exact = true;  // headline configuration: rung <= 2
-  opts.use_slack_index = true;
 
   const std::string plain_dir = "perf_repl_plain.tmp";
   const std::string primary_dir = "perf_repl_primary.tmp";
@@ -1268,9 +1273,10 @@ struct ScanInternals {
 };
 
 ScanInternals collect_internals(const std::vector<TraceEvent>& trace,
-                                const AdmissionOptions& opts) {
+                                const AdmissionOptions& opts,
+                                IndexArm index) {
   obs::Obs obs(obs::ObsConfig{/*metrics=*/true, /*tracing=*/false, 0});
-  Shadow shadow(opts);
+  Shadow shadow(opts, GroupMode::Batch, index);
   shadow.ctl.attach_obs(&obs);
   for (const TraceEvent& ev : trace) (void)shadow.step(ev);
   const obs::MetricsRegistry& reg = obs.registry();
@@ -1366,19 +1372,16 @@ int main(int argc, char** argv) {
               n, u, events,
               setup.seed + n * 1000 + static_cast<std::uint64_t>(u * 100),
               0.0, 1);
-          AdmissionOptions base;
-          base.epsilon = epsilon;
-          base.skip_exact = true;
-          AdmissionOptions off = base;
-          off.use_slack_index = false;
-          AdmissionOptions on = base;
-          on.use_slack_index = true;
+          AdmissionOptions opts;
+          opts.epsilon = epsilon;
+          opts.skip_exact = true;
           KnownRegression kr;
           kr.n = n;
           kr.u = u;
           kr.speedup = row.speedup;
-          kr.index_off = collect_internals(cell_trace, off);
-          kr.index_on = collect_internals(cell_trace, on);
+          kr.index_off = collect_internals(cell_trace, opts, IndexArm::Off);
+          kr.index_on = collect_internals(cell_trace, opts,
+                                          IndexArm::Adaptive);
           known.push_back(kr);
         }
       }

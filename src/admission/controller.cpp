@@ -21,14 +21,14 @@ static_assert(obs::kTraceRungs == kAdmissionRungs,
 namespace {
 
 /// Rung-3 / verification analyses route through the unified query API
-/// (certificates off: the controller keeps its own instrumentation and
-/// the hot path must not pay a construction sweep). The WorkloadView
-/// hands the resident set to the backend zero-copy — escalations no
-/// longer materialize a snapshot or copy it into a Workload.
-FeasibilityResult query_exact(const TaskSet& ts, TestKind kind,
-                              const AnalyzerOptions& opts) {
+/// with the kind's registry defaults (certificates off: the controller
+/// keeps its own instrumentation and the hot path must not pay a
+/// construction sweep). The WorkloadView hands the resident set to the
+/// backend zero-copy — escalations no longer materialize a snapshot or
+/// copy it into a Workload.
+FeasibilityResult query_exact(const TaskSet& ts, TestKind kind) {
   if (ts.empty()) return make_verdict(Verdict::Feasible);
-  return Query::single(kind, params_from_legacy(kind, opts))
+  return Query::single(kind)
       .with_certificates(false)
       .run(WorkloadView(ts))
       .analysis;
@@ -328,8 +328,7 @@ std::string AdmissionStats::to_json() const {
 }
 
 AdmissionController::AdmissionController(AdmissionOptions opts)
-    : opts_(opts),
-      demand_(opts.epsilon, opts.use_slack_index, opts.eager_compaction) {
+    : opts_(opts), demand_(opts.epsilon) {
   if (!platform_valid(opts_.platform)) {
     throw std::invalid_argument("AdmissionController: invalid platform " +
                                 edfkit::to_string(opts_.platform));
@@ -480,7 +479,7 @@ AdmissionDecision AdmissionController::try_admit(const Task& t) {
   // the candidate) — the only from-scratch rung, for borderline sets.
   probe.enter(AdmissionRung::Exact);
   const FeasibilityResult exact =
-      query_exact(demand_.resident(), opts_.exact_fallback, opts_.analyzer);
+      query_exact(demand_.resident(), opts_.exact_fallback);
   d.analysis.verdict = exact.verdict;
   d.analysis.iterations += exact.iterations;
   d.analysis.revisions += exact.revisions;
@@ -652,7 +651,7 @@ GroupDecision AdmissionController::admit_group(std::span<const Task> group) {
   // group is tentatively resident), zero-copy.
   probe.enter(AdmissionRung::Exact);
   const FeasibilityResult exact =
-      query_exact(demand_.resident(), opts_.exact_fallback, opts_.analyzer);
+      query_exact(demand_.resident(), opts_.exact_fallback);
   d.analysis.verdict = exact.verdict;
   d.analysis.iterations += exact.iterations;
   d.analysis.revisions += exact.revisions;
@@ -703,7 +702,7 @@ const Task* AdmissionController::find(TaskId id) const noexcept {
 }
 
 FeasibilityResult AdmissionController::analyze_resident(TestKind kind) const {
-  return query_exact(demand_.resident(), kind, opts_.analyzer);
+  return query_exact(demand_.resident(), kind);
 }
 
 std::vector<TestKind> admission_ladder_tests(const AdmissionOptions& opts) {

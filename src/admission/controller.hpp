@@ -49,9 +49,10 @@
 #include <vector>
 
 #include "admission/incremental_dbf.hpp"
-#include "core/analyzer.hpp"
+#include "analysis/types.hpp"
 #include "model/platform.hpp"
 #include "query/certificate.hpp"
+#include "query/registry.hpp"
 
 namespace edfkit {
 
@@ -83,10 +84,9 @@ struct AdmissionOptions {
   /// demand, so the paper's standard 0.25 is a good default.)
   double epsilon = 0.25;
   /// Exact test run when the approximate rung cannot accept. Must be a
-  /// kind with is_exact() == true (checked at construction).
+  /// kind with is_exact() == true (checked at construction). It runs
+  /// with its registry defaults (default_params, query/options.hpp).
   TestKind exact_fallback = TestKind::Qpa;
-  /// Options forwarded to the fallback test.
-  AnalyzerOptions analyzer;
   /// Policy headroom: reject arrivals that would push the utilization
   /// estimate above this value, before any analysis. 1.0 disables.
   double utilization_cap = 1.0;
@@ -95,18 +95,6 @@ struct AdmissionOptions {
   /// Skip rung 3 entirely: borderline arrivals are rejected after the
   /// approximate scan (bounded worst-case decision latency).
   bool skip_exact = false;
-  /// Cached-slack index for the approximate rung (incremental_dbf.hpp):
-  /// scans fast-forward over checkpoint buckets proven slack by earlier
-  /// scans. On, the index engages adaptively by resident count (small
-  /// sets never pay its maintenance). Off = the pre-index full-rescan
-  /// behavior (the perf_suite baseline); verdicts are identical either
-  /// way.
-  bool use_slack_index = true;
-  /// Compact the checkpoint store on every removal instead of
-  /// tombstoning emptied checkpoints (the pre-tombstone behavior, kept
-  /// selectable for the perf_suite removal baseline and differential
-  /// tests). Verdicts are identical either way.
-  bool eager_compaction = false;
   /// On a rejected admit_group, also restore the refinement levels the
   /// failing scan raised, leaving the store bit-identical to its
   /// pre-call state. Off (default), a rejected group keeps the learned
@@ -269,6 +257,16 @@ class AdmissionController {
     return demand_.matches_rebuild();
   }
 
+  /// Bench/test seam, not an option: forwards to
+  /// IncrementalDemand::set_index_thresholds. (SIZE_MAX, SIZE_MAX) keeps
+  /// the cached-slack index disengaged — the pre-index full-rescan
+  /// baseline the perf suite compares against. Verdicts are identical
+  /// either way; the thresholds travel with the snapshot.
+  void set_index_thresholds(std::size_t engage_at,
+                            std::size_t disengage_below) {
+    demand_.set_index_thresholds(engage_at, disengage_below);
+  }
+
   /// Write-ahead journaling (admission/snapshot.hpp): while attached,
   /// every offered operation — try_admit, admit_group, remove,
   /// remove_group, *including* rejected admits, whose tentative
@@ -307,8 +305,8 @@ class AdmissionController {
   obs::TraceRing* trace_ = nullptr;
 };
 
-/// The ladder's test selection as analyzer kinds, in escalation order —
-/// feed to BatchConfig::tests to preview offline what the online
+/// The ladder's test selection as registry kinds, in escalation order —
+/// select them in a batch Query to preview offline what the online
 /// controller would run (see examples/batch_analyze.cpp --ladder).
 [[nodiscard]] std::vector<TestKind> admission_ladder_tests(
     const AdmissionOptions& opts = {});

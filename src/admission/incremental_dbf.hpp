@@ -56,8 +56,9 @@
 /// compacts once its dead fraction crosses a threshold (amortized O(1)
 /// per removal), and resegmentation drops all tombstones wholesale. A
 /// re-arriving checkpoint time resurrects its tombstone in place.
-/// `eager_compaction` restores the erase-on-remove behavior
-/// byte-for-byte (the bench baseline and differential-fuzz twin).
+/// The `eager_compaction` constructor argument restores the
+/// erase-on-remove behavior byte-for-byte — the reference twin of the
+/// tombstone differential fuzz and the perf_suite removal baseline.
 ///
 /// Slack certificate (the O(1) fast path): a clean passing scan also
 /// certifies theta = min_I (I - dbf'(I))/I, the minimum fractional
@@ -88,10 +89,10 @@
 /// off once the store is large, so the index *engages* with hysteresis
 /// on the resident count (on at >= kIndexOnResidents, off below
 /// kIndexOffResidents — churn across one threshold cannot thrash).
-/// While disengaged (or with `use_slack_index` false — the manual
-/// override and bench baseline) everything lives in one segment, no
-/// bounds are maintained, and every scan walks end to end — byte-for-
-/// byte the pre-index behavior.
+/// While disengaged everything lives in one segment, no bounds are
+/// maintained, and every scan walks end to end — byte-for-byte the
+/// pre-index behavior. set_index_thresholds(SIZE_MAX, SIZE_MAX) keeps
+/// the index disengaged for good (the bench baseline).
 ///
 /// Epoch-versioned store header (the lock-free read path): mutators
 /// publish a small aggregate header (resident/checkpoint counts,
@@ -179,15 +180,13 @@ struct StoreHeader {
 class IncrementalDemand {
  public:
   /// \pre 0 < epsilon <= 1. Initial steps per task: k = ceil(1/epsilon).
-  /// `use_slack_index` toggles the bucketed cached-slack index; off, every
-  /// scan walks the full checkpoint array (the pre-index behavior, kept
-  /// selectable as the bench baseline — see bench/perf_suite.cpp). On,
-  /// the index engages adaptively by resident count (see file header).
-  /// `eager_compaction` erases emptied checkpoints on every removal
-  /// instead of tombstoning them (the pre-tombstone behavior, kept
-  /// selectable for the bench baseline and differential tests).
+  /// The cached-slack index engages adaptively by resident count (see
+  /// file header and set_index_thresholds). `eager_compaction` erases
+  /// emptied checkpoints on every removal instead of tombstoning them:
+  /// the pre-tombstone reference that the tombstone differential fuzz
+  /// and the perf_suite removal cell compare against. Production stores
+  /// always tombstone.
   explicit IncrementalDemand(double epsilon = 0.25,
-                             bool use_slack_index = true,
                              bool eager_compaction = false);
 
   /// Insert a task at level k; O(k log n + move). \throws
@@ -239,17 +238,14 @@ class IncrementalDemand {
   [[nodiscard]] std::size_t dead_checkpoints() const noexcept {
     return dead_steps_;
   }
-  [[nodiscard]] bool eager_compaction() const noexcept {
-    return eager_compact_;
-  }
   /// True while the cached-slack index is maintaining per-segment
-  /// bounds (use_slack_index on and the resident count is above the
-  /// engagement hysteresis).
+  /// bounds (the resident count is above the engagement hysteresis).
   [[nodiscard]] bool slack_index_engaged() const noexcept {
     return index_engaged_;
   }
   /// Override the index-engagement hysteresis (tests/bench: 0, 0
-  /// engages unconditionally). \pre disengage_below <= engage_at.
+  /// engages unconditionally; SIZE_MAX, SIZE_MAX never engages).
+  /// \pre disengage_below <= engage_at.
   void set_index_thresholds(std::size_t engage_at,
                             std::size_t disengage_below);
   /// Current approximation level of a resident task (>= k after
@@ -489,7 +485,6 @@ class IncrementalDemand {
   [[nodiscard]] DemandCheck do_check(std::uint64_t max_revisions);
 
   Time k_;
-  bool use_slack_index_;
   bool eager_compact_;
   /// Hysteresis state of the cached-slack index (see file header).
   bool index_engaged_ = false;

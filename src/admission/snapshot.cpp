@@ -1,11 +1,13 @@
 #include "admission/snapshot.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <stdexcept>
 #include <utility>
 
 #include "persist/format.hpp"
+#include "query/options.hpp"
 
 namespace edfkit {
 namespace {
@@ -17,6 +19,30 @@ constexpr std::uint32_t kSecMeta = 1;
 constexpr std::uint32_t kSecController = 2;
 constexpr std::uint32_t kSecEngine = 3;
 constexpr std::uint32_t kSecShard = 4;
+
+/// Smallest encodings of the repeated elements (see the encoders): a
+/// task with an empty name, one resident row (task + level + border
+/// count), one id-index entry, one segment with no entries, one step,
+/// one border.
+constexpr std::size_t kTaskBytes = 4 * 8 + 4;
+constexpr std::size_t kRowBytes = kTaskBytes + 8 + 8;
+constexpr std::size_t kIdIndexBytes = 8 + 4;
+constexpr std::size_t kSegmentBytes = 3 * 8 + 2 * 32 + 8 + 2 * 8 + 2 * 8;
+constexpr std::size_t kStepBytes = 3 * 8;
+constexpr std::size_t kBorderBytes = 2 * 8 + 2 * 32;
+
+/// A decoded element count, checked against the bytes left before any
+/// reserve/resize/assign sized by it: a count whose elements cannot fit
+/// is corrupt and must surface as BadValue, not as bad_alloc or
+/// length_error from a huge allocation.
+std::size_t bounded_count(const ByteReader& r, std::uint64_t count,
+                          std::size_t min_bytes, const char* what) {
+  if (count > r.remaining() / min_bytes) {
+    throw PersistError(PersistErrc::BadValue,
+                       std::string(what) + " count exceeds the bytes left");
+  }
+  return static_cast<std::size_t>(count);
+}
 
 void encode_task(ByteWriter& w, const Task& t) {
   w.i64(t.wcet);
@@ -48,15 +74,37 @@ ScaledPair decode_pair(ByteReader& r) {
   return p;
 }
 
-void encode_optional_time(ByteWriter& w, const std::optional<Time>& v) {
-  w.boolean(v.has_value());
-  w.i64(v.value_or(0));
-}
-
 std::optional<Time> decode_optional_time(ByteReader& r) {
   const bool has = r.boolean();
   const Time v = r.i64();
   return has ? std::optional<Time>(v) : std::nullopt;
+}
+
+/// Format v2 carried a per-controller options block for the exact rung.
+/// The rung now runs with its registry defaults, so a v2 snapshot loads
+/// only while every field still holds its default: the exact rung's
+/// parameters must never change silently across an upgrade. (`&=`, not
+/// `&&`: every field must be read, in order.)
+void decode_v2_analyzer(ByteReader& r) {
+  const SuperPosParams superpos;
+  const ChakrabortyParams chakraborty;
+  const DynamicTestOptions dynamic;
+  const AllApproxOptions all_approx;
+  const ProcessorDemandOptions pd;
+  bool defaults = r.i64() == superpos.level;
+  defaults &= r.f64() == chakraborty.epsilon;
+  defaults &= r.i64() == dynamic.initial_level;
+  defaults &= r.i64() == dynamic.growth_factor;
+  defaults &= r.i64() == dynamic.max_level;
+  defaults &= decode_optional_time(r) == dynamic.bound;
+  defaults &= decode_optional_time(r) == all_approx.bound;
+  defaults &= r.u8() == static_cast<std::uint8_t>(all_approx.revision);
+  defaults &= r.boolean() == pd.use_busy_period;
+  defaults &= r.u64() == pd.max_iterations;
+  if (!defaults) {
+    throw PersistError(PersistErrc::BadValue,
+                       "v2 snapshot sets a non-default exact-rung option");
+  }
 }
 
 void encode_meta(persist::SectionWriter& sw, SnapshotKind kind,
@@ -112,20 +160,18 @@ Record decode_record(std::span<const std::uint8_t> payload) {
       rec.task = decode_task(r);
       break;
     case JournalOp::AdmitGroup: {
-      const std::uint32_t n = r.u32();
+      const std::size_t n = bounded_count(r, r.u32(), kTaskBytes, "group");
       rec.group.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        rec.group.push_back(decode_task(r));
-      }
+      for (std::size_t i = 0; i < n; ++i) rec.group.push_back(decode_task(r));
       break;
     }
     case JournalOp::Remove:
       rec.id = r.u64();
       break;
     case JournalOp::RemoveGroup: {
-      const std::uint32_t n = r.u32();
+      const std::size_t n = bounded_count(r, r.u32(), 8, "id group");
       rec.ids.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) rec.ids.push_back(r.u64());
+      for (std::size_t i = 0; i < n; ++i) rec.ids.push_back(r.u64());
       break;
     }
     case JournalOp::EngineAdmit:
@@ -135,13 +181,12 @@ Record decode_record(std::span<const std::uint8_t> payload) {
       break;
     case JournalOp::EngineAdmitGroup: {
       rec.shard = r.u32();
-      const std::uint32_t n = r.u32();
+      const std::size_t n =
+          bounded_count(r, r.u32(), 8 + kTaskBytes, "placed group");
       rec.assigned.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) rec.assigned.push_back(r.u64());
+      for (std::size_t i = 0; i < n; ++i) rec.assigned.push_back(r.u64());
       rec.group.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        rec.group.push_back(decode_task(r));
-      }
+      for (std::size_t i = 0; i < n; ++i) rec.group.push_back(decode_task(r));
       break;
     }
     case JournalOp::EngineRemove:
@@ -253,8 +298,6 @@ std::vector<std::uint8_t> client_mark(const std::string& client,
 struct SnapshotCodec {
   static void encode_demand(const IncrementalDemand& d, ByteWriter& w) {
     w.i64(d.k_);
-    w.boolean(d.use_slack_index_);
-    w.boolean(d.eager_compact_);
     w.boolean(d.index_engaged_);
     w.u64(d.engage_at_);
     w.u64(d.disengage_below_);
@@ -320,19 +363,41 @@ struct SnapshotCodec {
     w.u64(d.constrained_);
   }
 
-  static void decode_demand(IncrementalDemand& d, ByteReader& r) {
+  static void decode_demand(IncrementalDemand& d, ByteReader& r,
+                            std::uint32_t version) {
     d.k_ = r.i64();
     if (d.k_ < 1) {
       throw PersistError(PersistErrc::BadValue, "k < 1");
     }
-    d.use_slack_index_ = r.boolean();
-    d.eager_compact_ = r.boolean();
+    // v2 stored the retired index switch and compaction policy. Index
+    // off becomes never-engage thresholds (the same disengaged store);
+    // an eagerly compacted store holds no tombstones and loads as a
+    // tombstoning one, deciding identically.
+    bool v2_index_on = true;
+    if (version == 2) {
+      v2_index_on = r.boolean();
+      (void)r.boolean();  // eager compaction
+    }
     d.index_engaged_ = r.boolean();
     d.engage_at_ = r.u64();
     d.disengage_below_ = r.u64();
+    if (!v2_index_on) {
+      if (d.index_engaged_) {
+        throw PersistError(PersistErrc::BadValue, "disabled index engaged");
+      }
+      d.engage_at_ = SIZE_MAX;
+      d.disengage_below_ = SIZE_MAX;
+    }
+    if (d.disengage_below_ > d.engage_at_) {
+      // set_index_thresholds' precondition: a window with
+      // disengage_below > engage_at would flip engagement on every
+      // update inside it.
+      throw PersistError(PersistErrc::BadValue,
+                         "index disengages above its engagement threshold");
+    }
     d.next_id_ = r.u64();
 
-    const std::uint64_t n = r.u64();
+    const std::size_t n = bounded_count(r, r.u64(), kRowBytes, "row");
     d.view_ = TaskView{};
     d.view_.reserve(n);
     for (std::uint64_t row = 0; row < n; ++row) {
@@ -350,7 +415,8 @@ struct SnapshotCodec {
       d.borders_of_row_[row] = r.i64();
     }
 
-    const std::uint64_t index_n = r.u64();
+    const std::size_t index_n =
+        bounded_count(r, r.u64(), kIdIndexBytes, "id index");
     d.id_index_.clear();
     d.id_index_.reserve(index_n);
     std::vector<std::uint8_t> row_seen(n, 0);
@@ -376,7 +442,8 @@ struct SnapshotCodec {
     }
     d.dead_ids_ = r.u64();
 
-    const std::uint64_t seg_n = r.u64();
+    const std::size_t seg_n =
+        bounded_count(r, r.u64(), kSegmentBytes, "segment");
     if (seg_n == 0) {
       throw PersistError(PersistErrc::BadValue, "no segments");
     }
@@ -390,15 +457,13 @@ struct SnapshotCodec {
       g.min_ratio = r.f64();
       g.dead = r.u64();
       g.dead_borders = r.u64();
-      const std::uint64_t steps_n = r.u64();
-      g.steps.resize(steps_n);
+      g.steps.resize(bounded_count(r, r.u64(), kStepBytes, "step"));
       for (IncrementalDemand::StepEntry& e : g.steps) {
         e.at = r.i64();
         e.step = r.i64();
         e.refs = r.i64();
       }
-      const std::uint64_t borders_n = r.u64();
-      g.borders.resize(borders_n);
+      g.borders.resize(bounded_count(r, r.u64(), kBorderBytes, "border"));
       for (IncrementalDemand::BorderEntry& e : g.borders) {
         e.at = r.i64();
         e.refs = r.i64();
@@ -435,21 +500,9 @@ struct SnapshotCodec {
     const AdmissionOptions& o = c.opts_;
     w.f64(o.epsilon);
     w.u32(static_cast<std::uint32_t>(o.exact_fallback));
-    w.i64(o.analyzer.superpos_level);
-    w.f64(o.analyzer.epsilon);
-    w.i64(o.analyzer.dynamic.initial_level);
-    w.i64(o.analyzer.dynamic.growth_factor);
-    w.i64(o.analyzer.dynamic.max_level);
-    encode_optional_time(w, o.analyzer.dynamic.bound);
-    encode_optional_time(w, o.analyzer.all_approx.bound);
-    w.u8(static_cast<std::uint8_t>(o.analyzer.all_approx.revision));
-    w.boolean(o.analyzer.pd_use_busy_period);
-    w.u64(o.analyzer.pd_max_iterations);
     w.f64(o.utilization_cap);
     w.u64(o.max_tasks);
     w.boolean(o.skip_exact);
-    w.boolean(o.use_slack_index);
-    w.boolean(o.eager_compaction);
     w.boolean(o.rollback_refinements);
     w.boolean(o.return_certificate);
     w.u32(o.platform.m);  // format v2: global admission mode
@@ -467,7 +520,8 @@ struct SnapshotCodec {
     encode_demand(c.demand_, w);
   }
 
-  static void decode_controller(AdmissionController& c, ByteReader& r) {
+  static void decode_controller(AdmissionController& c, ByteReader& r,
+                                std::uint32_t version) {
     AdmissionOptions o;
     o.epsilon = r.f64();
     const std::uint32_t kind = r.u32();
@@ -475,25 +529,15 @@ struct SnapshotCodec {
       throw PersistError(PersistErrc::BadValue, "exact_fallback kind");
     }
     o.exact_fallback = static_cast<TestKind>(kind);
-    o.analyzer.superpos_level = r.i64();
-    o.analyzer.epsilon = r.f64();
-    o.analyzer.dynamic.initial_level = r.i64();
-    o.analyzer.dynamic.growth_factor = r.i64();
-    o.analyzer.dynamic.max_level = r.i64();
-    o.analyzer.dynamic.bound = decode_optional_time(r);
-    o.analyzer.all_approx.bound = decode_optional_time(r);
-    const std::uint8_t revision = r.u8();
-    if (revision > static_cast<std::uint8_t>(RevisionPolicy::MaxError)) {
-      throw PersistError(PersistErrc::BadValue, "revision policy");
-    }
-    o.analyzer.all_approx.revision = static_cast<RevisionPolicy>(revision);
-    o.analyzer.pd_use_busy_period = r.boolean();
-    o.analyzer.pd_max_iterations = r.u64();
+    if (version == 2) decode_v2_analyzer(r);
     o.utilization_cap = r.f64();
     o.max_tasks = r.u64();
     o.skip_exact = r.boolean();
-    o.use_slack_index = r.boolean();
-    o.eager_compaction = r.boolean();
+    bool v2_index_on = true;
+    if (version == 2) {
+      v2_index_on = r.boolean();
+      (void)r.boolean();  // eager compaction: see decode_demand
+    }
     o.rollback_refinements = r.boolean();
     o.return_certificate = r.boolean();
     o.platform.m = r.u32();  // format v2
@@ -519,7 +563,8 @@ struct SnapshotCodec {
     c.stats_ = s;
     c.sequence_ = r.u64();
 
-    decode_demand(c.demand_, r);
+    decode_demand(c.demand_, r, version);
+    if (!v2_index_on) c.demand_.set_index_thresholds(SIZE_MAX, SIZE_MAX);
   }
 
   static void engine_save(const AdmissionEngine& e, const std::string& path,
@@ -566,7 +611,7 @@ struct SnapshotCodec {
     ByteReader er = sr.section(kSecEngine);
     const std::uint64_t shards = er.u64();
     const std::uint8_t placement = er.u8();
-    if (shards == 0 ||
+    if (shards == 0 || shards > sr.ids().size() ||
         placement > static_cast<std::uint8_t>(PlacementPolicy::BestFit)) {
       throw PersistError(PersistErrc::BadValue, "engine options");
     }
@@ -583,7 +628,7 @@ struct SnapshotCodec {
       }
       auto shard = std::make_unique<AdmissionEngine::Shard>(
           AdmissionOptions{});
-      decode_controller(shard->controller, w);
+      decode_controller(shard->controller, w, sr.version());
       shard->load.store(shard->controller.utilization(),
                         std::memory_order_relaxed);
       shard->publish();
@@ -733,7 +778,7 @@ SnapshotMeta load_snapshot(AdmissionController& out,
     const persist::SectionReader sr(persist::read_file(path));
     const SnapshotMeta meta = decode_meta(sr, SnapshotKind::Controller);
     ByteReader r = sr.section(kSecController);
-    SnapshotCodec::decode_controller(out, r);
+    SnapshotCodec::decode_controller(out, r, sr.version());
     return meta;
   } catch (const std::out_of_range&) {
     throw PersistError(PersistErrc::Truncated, path);
@@ -803,7 +848,7 @@ SnapshotMeta load_snapshot_bytes(AdmissionController& out,
     const persist::SectionReader sr(std::move(bytes));
     const SnapshotMeta meta = decode_meta(sr, SnapshotKind::Controller);
     ByteReader r = sr.section(kSecController);
-    SnapshotCodec::decode_controller(out, r);
+    SnapshotCodec::decode_controller(out, r, sr.version());
     return meta;
   } catch (const std::out_of_range&) {
     throw PersistError(PersistErrc::Truncated, "snapshot bytes");

@@ -399,11 +399,7 @@ void Tenant::load_dedup_bytes(std::vector<std::uint8_t> bytes) {
       const std::uint32_t entries = r.u32();
       for (std::uint32_t k = 0; k < entries; ++k) {
         const std::uint64_t id = r.u64();
-        const std::uint32_t len = r.u32();
-        std::vector<std::uint8_t> bytes;
-        bytes.reserve(len);
-        for (std::uint32_t b = 0; b < len; ++b) bytes.push_back(r.u8());
-        s.window.emplace_back(id, std::move(bytes));
+        s.window.emplace_back(id, r.blob());
       }
       sessions_.emplace(client, std::move(s));
     }

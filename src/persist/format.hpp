@@ -37,7 +37,11 @@ inline constexpr char kSnapshotMagic[8] = {'E', 'D', 'F', 'K',
 /// for global admission mode. v1 snapshots predate the field and are
 /// rejected (re-seed from the journal, which is operation-level and
 /// version-independent).
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// v3: the exact-rung options block, the slack-index switch and the
+/// compaction policy left the controller. Writers emit v3; readers
+/// still accept v2 and upgrade it on load (admission/snapshot.cpp).
+inline constexpr std::uint32_t kFormatVersion = 3;
+inline constexpr std::uint32_t kMinFormatVersion = 2;
 
 enum class PersistErrc : std::uint8_t {
   IoError,     ///< open/read/write/rename/fsync failed
@@ -129,11 +133,14 @@ class SectionReader {
   [[nodiscard]] const std::vector<std::uint32_t>& ids() const noexcept {
     return ids_;
   }
+  /// Container format version, in [kMinFormatVersion, kFormatVersion].
+  [[nodiscard]] std::uint32_t version() const noexcept { return version_; }
   /// Reader over the i-th section (file order). \pre i < ids().size()
   [[nodiscard]] ByteReader section_at(std::size_t i) const;
 
  private:
   std::vector<std::uint8_t> bytes_;
+  std::uint32_t version_ = kFormatVersion;
   std::vector<std::uint32_t> ids_;
   std::vector<std::pair<std::size_t, std::size_t>> spans_;  ///< offset, len
 };

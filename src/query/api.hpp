@@ -36,9 +36,9 @@
 ///     // chk.valid: the accept re-established by independent replay
 ///   }
 ///
-/// The deprecated `core/analyzer.hpp` facade (AnalyzerOptions, run_test,
-/// compare_all) remains as a shim over this API for one more release;
-/// it is deliberately NOT re-exported here.
+/// `Query` over the registry is the one analysis entry point: every
+/// backend is selected by `TestKind` with its typed params, and
+/// `comparison_table` renders the side-by-side diagnostics view.
 #pragma once
 
 #define EDFKIT_API_VERSION 2

@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "admission/replay.hpp"
-#include "core/analyzer.hpp"
 #include "helpers.hpp"
+#include "query/query.hpp"
 
 namespace edfkit {
 namespace {
@@ -148,8 +148,10 @@ TEST_P(ControllerChurnTest, VerdictsMatchFromScratchAfterEveryOp) {
       // From-scratch oracle on the widened set, before mutating.
       TaskSet widened = ctl.snapshot();
       widened.add(ev.task);
-      const bool oracle =
-          run_test(widened, TestKind::ProcessorDemand).feasible();
+      const bool oracle = Query::single(TestKind::ProcessorDemand)
+                              .with_certificates(false)
+                              .run(widened)
+                              .feasible();
       const AdmissionDecision d = ctl.try_admit(ev.task);
       ASSERT_EQ(d.admitted, oracle)
           << "op " << checked << " task " << ev.task.to_string() << "\n"

@@ -5,9 +5,9 @@
 #include <vector>
 
 #include "analysis/chakraborty.hpp"
-#include "core/analyzer.hpp"
 #include "demand/dbf.hpp"
 #include "helpers.hpp"
+#include "query/query.hpp"
 
 namespace edfkit {
 namespace {
@@ -108,7 +108,10 @@ TEST(IncrementalDemand, RefinedCheckVerdictsAreExact) {
     IncrementalDemand d(0.25);
     for (const Task& t : ts) d.add(t);
     const DemandCheck c = d.check();
-    const bool feasible = run_test(ts, TestKind::ProcessorDemand).feasible();
+    const bool feasible = Query::single(TestKind::ProcessorDemand)
+                              .with_certificates(false)
+                              .run(ts)
+                              .feasible();
     if (c.fits) {
       EXPECT_TRUE(feasible) << ts.to_string();
       ++proofs;
@@ -137,7 +140,9 @@ TEST(IncrementalDemand, CertificateAdmitsAreSound) {
       ++covered;
       d.add(t);
       // The fast-path admit must preserve provable feasibility.
-      EXPECT_TRUE(run_test(d.snapshot(), TestKind::ProcessorDemand)
+      EXPECT_TRUE(Query::single(TestKind::ProcessorDemand)
+                      .with_certificates(false)
+                      .run(d.snapshot())
                       .feasible())
           << d.snapshot().to_string();
     }

@@ -15,6 +15,12 @@ namespace {
 using testing::set_of;
 using testing::tk;
 
+/// The report's classic column set: devi, then the three exact tests.
+Query default_columns() {
+  return Query::batch({TestKind::Devi, TestKind::Dynamic,
+                       TestKind::AllApprox, TestKind::ProcessorDemand});
+}
+
 std::vector<BatchEntry> demo_entries() {
   std::vector<BatchEntry> es;
   es.push_back({"feasible", set_of({tk(2, 6, 8), tk(3, 10, 12)})});
@@ -25,7 +31,7 @@ std::vector<BatchEntry> demo_entries() {
 }
 
 TEST(Batch, RowsKeepOrderAndVerdicts) {
-  const BatchReport r = run_batch(demo_entries());
+  const BatchReport r = run_batch(demo_entries(), default_columns());
   ASSERT_EQ(r.rows.size(), 3u);
   EXPECT_EQ(r.rows[0].name, "feasible");
   EXPECT_EQ(r.rows[1].name, "infeasible");
@@ -40,7 +46,7 @@ TEST(Batch, RowsKeepOrderAndVerdicts) {
 }
 
 TEST(Batch, AcceptedCountsAndEffortStats) {
-  const BatchReport r = run_batch(demo_entries());
+  const BatchReport r = run_batch(demo_entries(), default_columns());
   // devi accepts only the feasible set; exact tests accept exactly one.
   EXPECT_EQ(r.accepted[1], 1u);
   EXPECT_EQ(r.accepted[2], 1u);
@@ -50,9 +56,8 @@ TEST(Batch, AcceptedCountsAndEffortStats) {
 }
 
 TEST(Batch, CustomTestSelection) {
-  BatchConfig cfg;
-  cfg.tests = {TestKind::LiuLayland, TestKind::Qpa};
-  const BatchReport r = run_batch(demo_entries(), cfg);
+  const BatchReport r = run_batch(
+      demo_entries(), Query::batch({TestKind::LiuLayland, TestKind::Qpa}));
   ASSERT_EQ(r.rows[0].cells.size(), 2u);
   EXPECT_EQ(r.tests[1], TestKind::Qpa);
   EXPECT_EQ(r.rows[2].cells[0].verdict, Verdict::Infeasible);  // U > 1
@@ -63,7 +68,7 @@ TEST(Batch, LiteratureSetsProduceCleanReport) {
   for (const auto& s : lit::all_literature_sets()) {
     es.push_back({s.name, s.tasks});
   }
-  const BatchReport r = run_batch(es);
+  const BatchReport r = run_batch(es, default_columns());
   EXPECT_TRUE(r.exact_disagreements.empty());
   // All five literature sets are feasible: every exact column accepts 5.
   EXPECT_EQ(r.accepted[1], 5u);
@@ -74,7 +79,7 @@ TEST(Batch, LiteratureSetsProduceCleanReport) {
 }
 
 TEST(Batch, TextAndCsvRendering) {
-  const BatchReport r = run_batch(demo_entries());
+  const BatchReport r = run_batch(demo_entries(), default_columns());
   const std::string text = r.to_string();
   EXPECT_NE(text.find("feasible"), std::string::npos);
   EXPECT_NE(text.find("accepted:"), std::string::npos);
@@ -92,18 +97,19 @@ TEST(Batch, FileLoadingRoundTrip) {
   const std::string p2 = dir + "edfkit_batch_b.txt";
   save_task_set(p1, set_of({tk(2, 6, 8)}));
   save_task_set(p2, set_of({tk(9, 8, 8)}));
-  const BatchReport r = run_batch_files({p1, p2});
+  const BatchReport r = run_batch_files({p1, p2}, default_columns());
   ASSERT_EQ(r.rows.size(), 2u);
   EXPECT_EQ(r.rows[0].cells[3].verdict, Verdict::Feasible);
   EXPECT_EQ(r.rows[1].cells[3].verdict, Verdict::Infeasible);
   std::remove(p1.c_str());
   std::remove(p2.c_str());
-  EXPECT_THROW((void)run_batch_files({"/no/such/file.txt"}),
-               std::runtime_error);
+  EXPECT_THROW(
+      (void)run_batch_files({"/no/such/file.txt"}, default_columns()),
+      std::runtime_error);
 }
 
 TEST(Batch, EmptyBatch) {
-  const BatchReport r = run_batch({});
+  const BatchReport r = run_batch({}, default_columns());
   EXPECT_TRUE(r.rows.empty());
   EXPECT_FALSE(r.to_string().empty());
 }

@@ -139,15 +139,17 @@ TEST(KernelEquivalence, RewiredBackendsMatchBruteForceOverflow) {
 // ---------------------------------------------- cached-slack index fuzz
 
 struct TwinDemand {
-  IncrementalDemand plain{0.25, /*use_slack_index=*/false};
-  IncrementalDemand indexed{0.25, /*use_slack_index=*/true};
+  IncrementalDemand plain{0.25};
+  IncrementalDemand indexed{0.25};
   std::vector<std::pair<TaskId, TaskId>> live;  // (plain id, indexed id)
 
   TwinDemand() {
-    // These sets are small; force the index to engage regardless of the
-    // resident-count hysteresis so the twin genuinely diverges in
-    // mechanism (bounds maintained, segments partitioned) while
+    // The plain twin never engages the index (the pre-index baseline).
+    // These sets are small; force the indexed twin to engage regardless
+    // of the resident-count hysteresis so the twins genuinely diverge
+    // in mechanism (bounds maintained, segments partitioned) while
     // verdicts must stay identical.
+    plain.set_index_thresholds(SIZE_MAX, SIZE_MAX);
     indexed.set_index_thresholds(0, 0);
   }
 
@@ -279,7 +281,7 @@ TEST(KernelEquivalence, CertificatesStaySoundWithIndex) {
   int covered = 0;
   for (int trial = 0; trial < 25; ++trial) {
     const TaskSet ts = draw_small_set(rng, 0.6);
-    IncrementalDemand d(0.25, /*use_slack_index=*/true);
+    IncrementalDemand d(0.25);
     d.set_index_thresholds(0, 0);  // engage on these small sets too
     for (const Task& t : ts) d.add(t);
     if (!d.check().fits) continue;

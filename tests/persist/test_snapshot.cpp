@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <sstream>
@@ -410,6 +411,108 @@ TEST(Snapshot, EngineJournalRecoveryRestoresResidents) {
   }
   std::remove(snap.c_str());
   std::remove(wal.c_str());
+}
+
+/// Offsets into a format-v3 controller section payload (see
+/// SnapshotCodec::encode_controller): 35 bytes of options, 80 of stats
+/// and the 8-byte decision sequence, then the demand store's k (8) and
+/// index-engagement flag (1), its two engagement thresholds, the next
+/// id, and the resident row count.
+constexpr std::size_t kEngageAtOffset = 35 + 80 + 8 + 8 + 1;
+constexpr std::size_t kDisengageBelowOffset = kEngageAtOffset + 8;
+constexpr std::size_t kRowCountOffset = kDisengageBelowOffset + 16;
+
+/// Overwrite one u64 of the controller section and re-seal the section
+/// CRC, so the container stays valid and only the decoder can object.
+/// \returns the value it replaced.
+std::uint64_t patch_controller_u64(std::vector<std::uint8_t>& bytes,
+                                   std::size_t offset, std::uint64_t value) {
+  std::size_t pos = 16;  // magic, version, section count
+  for (;;) {
+    ByteReader h{std::span<const std::uint8_t>(bytes).subspan(pos, 16)};
+    const std::uint32_t id = h.u32();
+    const std::uint64_t len = h.u64();
+    const std::size_t payload = pos + 16;
+    if (id != 2) {  // not the controller section
+      pos = payload + len;
+      continue;
+    }
+    ByteReader old{std::span<const std::uint8_t>(bytes).subspan(
+        payload + offset, 8)};
+    const std::uint64_t replaced = old.u64();
+    for (int i = 0; i < 8; ++i) {
+      bytes[payload + offset + i] =
+          static_cast<std::uint8_t>(value >> (8 * i));
+    }
+    const std::uint32_t crc = crc32(bytes.data() + payload, len);
+    for (int i = 0; i < 4; ++i) {
+      bytes[pos + 12 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+    }
+    return replaced;
+  }
+}
+
+void expect_bad_value(std::vector<std::uint8_t> bytes, const char* what) {
+  AdmissionController out;
+  try {
+    (void)load_snapshot_bytes(out, std::move(bytes));
+    ADD_FAILURE() << what << ": corrupt snapshot accepted";
+  } catch (const persist::PersistError& e) {
+    EXPECT_EQ(e.code(), persist::PersistErrc::BadValue) << what;
+  }
+}
+
+TEST(Snapshot, OversizedCountsAreTypedErrorsNotAllocations) {
+  AdmissionController ctl(fuzz_options());
+  Stepper s{&ctl, {}};
+  for (const TraceEvent& ev : fuzz_trace(5, 60)) (void)s.step(ev);
+  const std::vector<std::uint8_t> good = encode_snapshot(ctl);
+  // The offsets above must name the fields they claim to.
+  {
+    std::vector<std::uint8_t> probe = good;
+    ASSERT_EQ(patch_controller_u64(probe, kRowCountOffset, 0), ctl.size());
+    ASSERT_EQ(patch_controller_u64(probe, kEngageAtOffset, 0), 48u);
+    ASSERT_EQ(patch_controller_u64(probe, kDisengageBelowOffset, 0), 32u);
+  }
+  // A CRC-valid container whose resident count cannot fit in the bytes
+  // that follow it: BadValue before any reserve, never bad_alloc or
+  // length_error (the standby's REPL_SNAPSHOT path catches only
+  // PersistError).
+  for (const std::uint64_t n :
+       {std::uint64_t{1} << 40, std::uint64_t{1} << 62,
+        std::uint64_t{100000000}}) {
+    std::vector<std::uint8_t> bad = good;
+    (void)patch_controller_u64(bad, kRowCountOffset, n);
+    expect_bad_value(std::move(bad), "row count");
+  }
+  // Journal records bound their group sizes the same way.
+  ByteWriter group;
+  group.u8(static_cast<std::uint8_t>(JournalOp::AdmitGroup));
+  group.u32(0xFFFFFFFFu);
+  try {
+    apply_record(ctl, group.data());
+    ADD_FAILURE() << "oversized group record accepted";
+  } catch (const persist::PersistError& e) {
+    EXPECT_EQ(e.code(), persist::PersistErrc::BadValue);
+  }
+}
+
+TEST(Snapshot, IndexThresholdsRoundTripAndInvertedOnesAreRejected) {
+  AdmissionController ctl(fuzz_options());
+  Stepper s{&ctl, {}};
+  for (const TraceEvent& ev : fuzz_trace(9, 60)) (void)s.step(ev);
+  ctl.set_index_thresholds(SIZE_MAX, SIZE_MAX);  // the bench baseline
+  std::vector<std::uint8_t> bytes = encode_snapshot(ctl);
+  AdmissionController loaded;
+  (void)load_snapshot_bytes(loaded, bytes);
+  EXPECT_EQ(encode_snapshot(loaded), bytes);  // thresholds travel along
+  EXPECT_EQ(store_digest(loaded), store_digest(ctl));
+
+  // disengage_below > engage_at would flip engagement on every update
+  // inside the window; set_index_thresholds refuses it, so must load.
+  (void)patch_controller_u64(bytes, kEngageAtOffset, 40);
+  (void)patch_controller_u64(bytes, kDisengageBelowOffset, 41);
+  expect_bad_value(std::move(bytes), "inverted thresholds");
 }
 
 TEST(Snapshot, KindMismatchAndGarbageAreTypedErrors) {

@@ -1,6 +1,6 @@
-/// Cross-validation of the unified query API against the legacy
-/// entry points it subsumes: run_test (per kind), run_batch, and the
-/// admission ladder preview (batch_analyze --ladder's column set).
+/// Cross-validation of the query API's ladder policy against the
+/// admission ladder preview (batch_analyze --ladder's column set run
+/// through run_batch), plus the batch report's JSON rendering.
 #include <gtest/gtest.h>
 
 #include "../helpers.hpp"
@@ -11,41 +11,7 @@
 namespace edfkit {
 namespace {
 
-using testing::paper_random_sets;
 using testing::small_random_sets;
-
-TEST(CrossPaths, QueryAgreesWithLegacyRunTestAcrossAllKinds) {
-  const AnalyzerOptions legacy_opts;  // defaults on both paths
-  for (const double u : {0.6, 0.9, 1.02}) {
-    for (const TaskSet& ts : small_random_sets(10, u, /*seed=*/2024)) {
-      if (ts.empty()) continue;
-      // The legacy path is uniprocessor-only; global backends have no
-      // run_test counterpart to agree with.
-      for (const TestKind k :
-           BackendRegistry::instance().kinds_for(Platform{})) {
-        const FeasibilityResult legacy = run_test(ts, k, legacy_opts);
-        const Outcome fresh = Query::single(k, params_from_legacy(k, legacy_opts))
-                                  .with_certificates(false)
-                                  .run(Workload::periodic(ts));
-        EXPECT_EQ(legacy.verdict, fresh.verdict)
-            << to_string(k) << " U=" << u << "\n" << ts.to_string();
-        EXPECT_EQ(legacy.effort(), fresh.analysis.effort()) << to_string(k);
-      }
-    }
-  }
-}
-
-TEST(CrossPaths, QueryAgreesOnPaperSizedSets) {
-  for (const TaskSet& ts : paper_random_sets(4, 0.95, /*seed=*/31)) {
-    for (const TestKind k :
-         {TestKind::Dynamic, TestKind::AllApprox, TestKind::Qpa}) {
-      EXPECT_EQ(run_test(ts, k).verdict,
-                Query::single(k).with_certificates(false)
-                    .run(Workload::periodic(ts)).verdict)
-          << to_string(k);
-    }
-  }
-}
 
 TEST(CrossPaths, LadderAgreesWithAdmissionLadderPreview) {
   // batch_analyze --ladder previews the admission controller by running
@@ -63,10 +29,16 @@ TEST(CrossPaths, LadderAgreesWithAdmissionLadderPreview) {
     }
   }
 
-  BatchConfig cfg;
-  cfg.tests = rungs;
-  cfg.options.epsilon = admission.epsilon;
-  const BatchReport preview = run_batch(entries, cfg);
+  Query columns;
+  columns.with_policy(ExecPolicy::Batch).with_certificates(false);
+  for (const TestKind k : rungs) {
+    BackendParams p = default_params(k);
+    if (auto* ck = std::get_if<ChakrabortyParams>(&p)) {
+      ck->epsilon = admission.epsilon;
+    }
+    columns.add(k, std::move(p));
+  }
+  const BatchReport preview = run_batch(entries, columns);
   EXPECT_TRUE(preview.exact_disagreements.empty());
 
   for (std::size_t row = 0; row < entries.size(); ++row) {
@@ -87,38 +59,12 @@ TEST(CrossPaths, LadderAgreesWithAdmissionLadderPreview) {
   }
 }
 
-TEST(CrossPaths, BatchShimMatchesQueryBatch) {
-  std::vector<BatchEntry> entries;
-  int idx = 0;
-  for (const TaskSet& ts : small_random_sets(6, 0.9, /*seed=*/7)) {
-    if (!ts.empty()) entries.push_back({"e" + std::to_string(idx++), ts});
-  }
-  const BatchConfig cfg;  // legacy default column set
-  const BatchReport legacy = run_batch(entries, cfg);
-
-  Query q;
-  q.with_policy(ExecPolicy::Batch);
-  for (const TestKind k : cfg.tests) {
-    q.add(k, params_from_legacy(k, cfg.options));
-  }
-  const BatchReport fresh = run_batch(entries, q);
-
-  ASSERT_EQ(legacy.rows.size(), fresh.rows.size());
-  ASSERT_EQ(legacy.tests, fresh.tests);
-  for (std::size_t i = 0; i < legacy.rows.size(); ++i) {
-    for (std::size_t k = 0; k < legacy.tests.size(); ++k) {
-      EXPECT_EQ(legacy.rows[i].cells[k].verdict,
-                fresh.rows[i].cells[k].verdict);
-      EXPECT_EQ(legacy.rows[i].cells[k].effort,
-                fresh.rows[i].cells[k].effort);
-    }
-  }
-}
-
 TEST(CrossPaths, JsonReportIsEmittedAndNamesEveryTest) {
   std::vector<BatchEntry> entries;
   entries.push_back({"demo \"quoted\"", small_random_sets(1, 0.8).front()});
-  const BatchReport r = run_batch(entries, BatchConfig{});
+  const BatchReport r = run_batch(
+      entries, Query::batch({TestKind::Devi, TestKind::Dynamic,
+                             TestKind::AllApprox, TestKind::ProcessorDemand}));
   const std::string json = r.to_json();
   for (const TestKind k : r.tests) {
     EXPECT_NE(json.find(to_string(k)), std::string::npos) << to_string(k);

@@ -233,6 +233,29 @@ TEST(QueryPolicy, ResourceLimitsReachTheProcessorDemandBackend) {
   EXPECT_EQ(open.verdict, Verdict::Feasible);
 }
 
+TEST(QueryPolicy, TypedParamsReachTheTests) {
+  const TaskSet ts = set_of({tk(2, 8, 20), tk(3, 25, 30), tk(4, 40, 50),
+                             tk(6, 60, 70), tk(9, 90, 100), tk(14, 140, 150),
+                             tk(20, 190, 200), tk(30, 290, 300),
+                             tk(46, 390, 400), tk(72, 580, 600)});
+  DynamicTestOptions strict;
+  strict.max_level = 1;  // degrade dynamic to SuperPos(1)
+  EXPECT_EQ(Query::single(TestKind::Dynamic, strict).run(ts).verdict,
+            Verdict::Unknown);
+  EXPECT_EQ(Query::single(TestKind::Dynamic, DynamicTestOptions{})
+                .run(ts)
+                .verdict,
+            Verdict::Feasible);
+  EXPECT_EQ(Query::single(TestKind::SuperPos, SuperPosParams{1})
+                .run(ts)
+                .verdict,
+            Verdict::Unknown);
+  EXPECT_EQ(Query::single(TestKind::SuperPos, SuperPosParams{32})
+                .run(ts)
+                .verdict,
+            Verdict::Feasible);
+}
+
 TEST(QueryPolicy, CertificatesCanBeDisabled) {
   const Outcome out = Query::single(TestKind::Qpa)
                           .with_certificates(false)

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 
+#include "../helpers.hpp"
+#include "query/query.hpp"
+
 namespace edfkit {
 namespace {
+
+using testing::set_of;
+using testing::tk;
 
 TEST(Registry, EveryTestKindIsRegistered) {
   const BackendRegistry& reg = BackendRegistry::instance();
@@ -31,6 +38,16 @@ TEST(Registry, NamesAreUniqueAndNonEmpty) {
     names.insert(b.name);
   }
   EXPECT_EQ(names.size(), BackendRegistry::instance().all().size());
+}
+
+TEST(Registry, NamesAreStable) {
+  // Backend names are the vocabulary of reports, CLI flags and CSV
+  // headers; renaming one breaks every consumer.
+  EXPECT_EQ(std::string(to_string(TestKind::Dynamic)), "dynamic");
+  EXPECT_EQ(std::string(to_string(TestKind::AllApprox)), "all-approx");
+  EXPECT_EQ(std::string(to_string(TestKind::ProcessorDemand)),
+            "processor-demand");
+  EXPECT_EQ(std::string(to_string(TestKind::Qpa)), "qpa");
 }
 
 TEST(Registry, ExactnessFlagAgreesWithIsExact) {
@@ -71,6 +88,35 @@ TEST(Registry, WorkloadCapabilityFiltering) {
   for (const TestKind k : for_streams) {
     EXPECT_NE(k, TestKind::LiuLayland);
   }
+}
+
+TEST(Registry, EveryUniprocessorBackendRunsThroughQuery) {
+  const TaskSet ts = set_of({tk(2, 6, 8), tk(3, 10, 12), tk(4, 20, 24)});
+  for (const TestKind k : BackendRegistry::instance().kinds_for(Platform{})) {
+    const Verdict v =
+        Query::single(k).with_certificates(false).run(ts).verdict;
+    // This set is exactly feasible: exact tests must say so, sufficient
+    // tests may accept or give up, but never claim infeasibility.
+    EXPECT_NE(v, Verdict::Infeasible) << to_string(k);
+    if (is_exact(k)) {
+      EXPECT_EQ(v, Verdict::Feasible) << to_string(k);
+    }
+  }
+}
+
+TEST(Registry, ComparisonTableNamesEveryUniprocessorBackend) {
+  const Workload w = Workload::periodic(set_of({tk(1, 4, 8)}));
+  const std::string table = comparison_table(w);
+  const std::vector<TestKind> uni =
+      BackendRegistry::instance().kinds_for(Platform{});
+  for (const TestKind k : uni) {
+    EXPECT_NE(table.find(to_string(k)), std::string::npos) << to_string(k);
+  }
+  // Header plus one row per backend; an empty selection is header-only.
+  EXPECT_EQ(std::count(table.begin(), table.end(), '\n'),
+            static_cast<std::ptrdiff_t>(uni.size() + 1));
+  EXPECT_EQ(comparison_table(w, std::vector<BackendSelection>{}),
+            table.substr(0, table.find('\n') + 1));
 }
 
 TEST(Registry, CapabilityTableMentionsEveryBackend) {
