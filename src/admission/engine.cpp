@@ -5,9 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "admission/snapshot.hpp"
 #include "obs/obs.hpp"
-#include "persist/journal.hpp"
 
 namespace edfkit {
 
@@ -22,8 +20,7 @@ const char* to_string(PlacementPolicy p) noexcept {
 
 std::string EngineStats::to_string() const {
   std::ostringstream os;
-  os << "mode=" << (global ? "global" : "partitioned")
-     << " processors=" << processors << " resident=" << resident
+  os << "resident=" << resident
      << " total-utilization=" << total_utilization << "\n"
      << admission.to_string() << "\nshards:";
   for (std::size_t i = 0; i < shard_utilization.size(); ++i) {
@@ -36,8 +33,6 @@ std::string EngineStats::to_string() const {
 std::string EngineStats::to_json() const {
   std::ostringstream os;
   os << "{\"admission\":" << admission.to_json()
-     << ",\"mode\":\"" << (global ? "global" : "partitioned")
-     << "\",\"processors\":" << processors
      << ",\"resident\":" << resident
      << ",\"total_utilization\":" << total_utilization
      << ",\"stats_read_retries\":" << stats_read_retries << ",\"shards\":[";
@@ -98,23 +93,14 @@ AdmissionEngine::AdmissionEngine(EngineOptions opts) : opts_(opts) {
     throw std::invalid_argument("AdmissionEngine: shards >= 1 required");
   }
   if (!opts_.admission.platform.uniprocessor()) {
-    // Global mode: the m processors are one scheduling domain, so the
-    // engine degenerates to a single controller (see EngineOptions).
-    opts_.shards = 1;
+    throw std::invalid_argument(
+        "AdmissionEngine: shards are uniprocessors; admit globally with "
+        "an AdmissionController on Platform{m}");
   }
   shards_.reserve(opts_.shards);
   for (std::size_t i = 0; i < opts_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(opts_.admission));
   }
-}
-
-AdmissionEngine::~AdmissionEngine() {
-  {
-    const std::lock_guard<std::mutex> lock(queue_mu_);
-    stopping_ = true;
-  }
-  queue_cv_.notify_all();
-  for (std::thread& w : workers_) w.join();
 }
 
 std::vector<std::uint32_t> AdmissionEngine::placement_order(
@@ -161,12 +147,6 @@ PlacementDecision AdmissionEngine::admit(const Task& t) {
       d = s.controller.try_admit(t);
       s.load.store(s.controller.utilization(), std::memory_order_relaxed);
       s.publish();
-      // Journal committed placements from inside the critical section
-      // so the per-shard record order equals the apply order.
-      persist::Journal* j = journal_.load(std::memory_order_acquire);
-      if (j != nullptr && d.admitted) {
-        j->append(journal_codec::engine_admit(i, d.id, t));
-      }
     }
     if (m != nullptr) {
       m->shard_decision_ns[i].record(obs::now_ns() - s0);
@@ -204,13 +184,6 @@ GroupPlacement AdmissionEngine::admit_group(std::span<const Task> group) {
       d = s.controller.admit_group(group);
       s.load.store(s.controller.utilization(), std::memory_order_relaxed);
       s.publish();
-      persist::Journal* j = journal_.load(std::memory_order_acquire);
-      if (j != nullptr && d.admitted) {
-        std::vector<GlobalTaskId> assigned;
-        assigned.reserve(d.ids.size());
-        for (const TaskId id : d.ids) assigned.push_back({i, id});
-        j->append(journal_codec::engine_admit_group(i, assigned, group));
-      }
     }
     if (m != nullptr) {
       m->shard_decision_ns[i].record(obs::now_ns() - s0);
@@ -243,51 +216,8 @@ bool AdmissionEngine::remove(GlobalTaskId id) {
   if (removed) {
     s.load.store(s.controller.utilization(), std::memory_order_relaxed);
     s.publish();
-    persist::Journal* j = journal_.load(std::memory_order_acquire);
-    if (j != nullptr) j->append(journal_codec::engine_remove(id));
   }
   return removed;
-}
-
-std::future<PlacementDecision> AdmissionEngine::submit(Task t) {
-  std::packaged_task<PlacementDecision()> job(
-      [this, task = std::move(t)] { return admit(task); });
-  std::future<PlacementDecision> fut = job.get_future();
-  {
-    const std::lock_guard<std::mutex> lock(queue_mu_);
-    if (stopping_) {
-      throw std::runtime_error("AdmissionEngine: submit after shutdown");
-    }
-    if (workers_.empty()) {
-      // Lazily spawn the pool: purely synchronous users (admit/remove
-      // only) never pay for parked worker threads.
-      std::size_t n = opts_.workers;
-      if (n == 0) {
-        n = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-      }
-      workers_.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        workers_.emplace_back([this] { worker_loop(); });
-      }
-    }
-    queue_.push_back(std::move(job));
-  }
-  queue_cv_.notify_one();
-  return fut;
-}
-
-void AdmissionEngine::worker_loop() {
-  for (;;) {
-    std::packaged_task<PlacementDecision()> job;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ and drained
-      job = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    job();
-  }
 }
 
 double AdmissionEngine::utilization_estimate() const noexcept {
@@ -331,8 +261,6 @@ void merge_shard(EngineStats& out, const AdmissionStats& s,
 
 void AdmissionEngine::stats_into(EngineStats& out) const {
   reset_stats(out, shards_.size());
-  out.global = global_mode();
-  out.processors = processors();
   std::uint64_t retries = 0;
   for (const auto& shard : shards_) {
     AdmissionStats s;
@@ -353,8 +281,6 @@ void AdmissionEngine::stats_into(EngineStats& out) const {
 
 void AdmissionEngine::stats_locked_into(EngineStats& out) const {
   reset_stats(out, shards_.size());
-  out.global = global_mode();
-  out.processors = processors();
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mu);
     merge_shard(out, shard->controller.stats(), shard->controller.size(),

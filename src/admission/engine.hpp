@@ -8,11 +8,12 @@
 /// that order until one admits it — the classic partitioned test-cascade
 /// (cf. schedcat's partitioned heuristics).
 ///
-/// Two entry points:
-///   admit()/admit_group()/remove() — synchronous, thread-safe,
-///     callable from any number of client threads concurrently;
-///   submit() — enqueue onto the engine's worker-thread pool and get a
-///     std::future, for callers that want pipelined decisions.
+/// admit()/admit_group()/remove() are synchronous and thread-safe,
+/// callable from any number of client threads concurrently.
+///
+/// The engine is in-process only: it has no journal or snapshot of its
+/// own. Durable, network-served admission is per-tenant
+/// AdmissionController state (admission/snapshot.hpp, net/tenant.hpp).
 ///
 /// Reads do not convoy on the shard mutexes: every mutation publishes
 /// the shard's counters into a double-buffered set of epoch-versioned
@@ -24,16 +25,11 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "admission/controller.hpp"
@@ -70,14 +66,10 @@ enum class PlacementPolicy : std::uint8_t {
 struct EngineOptions {
   std::size_t shards = 4;  ///< partitions (processors); >= 1
   PlacementPolicy placement = PlacementPolicy::FirstFit;
-  /// Per-shard controller options. When `admission.platform.m > 1`
-  /// the engine runs in *global* mode: one controller admits the whole
-  /// set against m processors (global EDF), so `shards` is coerced to
-  /// 1 and `placement` is irrelevant — partitioned sharding and global
-  /// admission are mutually exclusive views of the same m processors.
+  /// Per-shard controller options. Each shard is one processor, so
+  /// `admission.platform` must stay uniprocessor: global admission on m
+  /// processors is one AdmissionController with Platform{m}.
   AdmissionOptions admission;
-  /// Worker threads behind submit(); 0 = hardware_concurrency.
-  std::size_t workers = 0;
 };
 
 /// Outcome of one placement attempt.
@@ -109,11 +101,6 @@ struct EngineStats {
   double total_utilization = 0.0;  ///< sum over shards
   std::vector<double> shard_utilization;
   std::vector<std::size_t> shard_resident;
-  /// Platform the counters were earned against: partitioned engines
-  /// report one processor per shard; a global engine reports its
-  /// controller's platform width.
-  std::uint32_t processors = 1;
-  bool global = false;  ///< global-EDF mode (one m-processor controller)
   /// Cumulative seqlock read retries ("lapped reader" count) the
   /// wait-free stats path has paid across the engine's lifetime, as of
   /// this snapshot: each retry is a publication that landed while a
@@ -128,11 +115,9 @@ struct EngineStats {
 
 class AdmissionEngine {
  public:
-  /// \throws std::invalid_argument for shards == 0 or bad controller
-  /// options. Worker threads are spawned lazily on the first submit();
-  /// synchronous-only users never pay for a parked pool.
+  /// \throws std::invalid_argument for shards == 0, a multiprocessor
+  /// `admission.platform`, or bad controller options.
   explicit AdmissionEngine(EngineOptions opts = {});
-  ~AdmissionEngine();
 
   AdmissionEngine(const AdmissionEngine&) = delete;
   AdmissionEngine& operator=(const AdmissionEngine&) = delete;
@@ -150,25 +135,7 @@ class AdmissionEngine {
   /// Withdraw a placed task; thread-safe.
   bool remove(GlobalTaskId id);
 
-  /// Enqueue a placement onto the worker pool.
-  [[nodiscard]] std::future<PlacementDecision> submit(Task t);
-
   [[nodiscard]] std::size_t shards() const noexcept { return shards_.size(); }
-  /// Global-EDF mode: one controller, m processors (see EngineOptions).
-  [[nodiscard]] bool global_mode() const noexcept {
-    return !opts_.admission.platform.uniprocessor();
-  }
-  /// Processor count the engine admits against: shard count when
-  /// partitioned, the platform width when global.
-  [[nodiscard]] std::uint32_t processors() const noexcept {
-    return global_mode() ? opts_.admission.platform.m
-                         : static_cast<std::uint32_t>(shards_.size());
-  }
-  /// Worker threads currently running (0 until the first submit()).
-  [[nodiscard]] std::size_t workers() const {
-    const std::lock_guard<std::mutex> lock(queue_mu_);
-    return workers_.size();
-  }
   /// Lock-free sum of the shards' load estimates. May lag concurrent
   /// mutations slightly — use stats() for a consistent snapshot.
   [[nodiscard]] double utilization_estimate() const noexcept;
@@ -195,21 +162,6 @@ class AdmissionEngine {
   [[nodiscard]] FeasibilityResult analyze_shard(
       std::size_t i, TestKind kind = TestKind::ProcessorDemand) const;
 
-  /// Engine-level write-ahead journaling (admission/snapshot.hpp):
-  /// while attached, every *committed* state change — a successful
-  /// admit/admit_group (with the shard it landed on and the ids it was
-  /// assigned) or a successful remove — appends one shard-qualified
-  /// record from inside the shard's critical section, so the per-shard
-  /// record order equals the per-shard apply order. Rejected placements
-  /// are not journaled: engine recovery restores the resident sets and
-  /// the admission invariant, not the rejected-probe side effects (see
-  /// README "Durability" for the contrast with controller-level
-  /// journaling, which is bit-identical). The journal must outlive the
-  /// attachment; Journal::append is thread-safe.
-  void attach_journal(persist::Journal* journal) noexcept {
-    journal_.store(journal, std::memory_order_release);
-  }
-
   /// Observability (src/obs/): attaches every shard controller to the
   /// Obs's shared admission instruments + its shard's flight-recorder
   /// ring, and the engine itself to placement latency/fan-out
@@ -221,9 +173,6 @@ class AdmissionEngine {
   void attach_obs(obs::Obs* obs);
 
  private:
-  /// Snapshot save/load composes per-shard sections (admission/snapshot.cpp).
-  friend struct SnapshotCodec;
-
   struct Shard {
     mutable std::mutex mu;
     AdmissionController controller;
@@ -263,23 +212,14 @@ class AdmissionEngine {
 
   [[nodiscard]] std::vector<std::uint32_t> placement_order(
       double candidate_utilization) const;
-  void worker_loop();
 
   EngineOptions opts_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<persist::Journal*> journal_{nullptr};
   /// Observability wiring (not serialized). metrics_ is read without
   /// the shard mutexes; swap only while admits are quiesced.
   obs::EngineInstruments* metrics_ = nullptr;
   /// Lifetime total of seqlock read retries paid by stats_into.
   mutable std::atomic<std::uint64_t> stats_retries_{0};
-
-  // Worker pool (spawned lazily under queue_mu_ by the first submit).
-  mutable std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<std::packaged_task<PlacementDecision()>> queue_;
-  bool stopping_ = false;
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace edfkit

@@ -144,8 +144,8 @@ ReplayStats replay_trace(const std::vector<TraceEvent>& trace,
                          obs::Obs* obs = nullptr);
 
 /// Drive a sharded engine through the trace, in order (synchronous
-/// admits; concurrency is exercised by submitting multiple independent
-/// traces from multiple threads — see examples/admission_server.cpp).
+/// admits; the engine is thread-safe, so independent traces may be
+/// replayed into it from several threads at once).
 ReplayStats replay_trace(const std::vector<TraceEvent>& trace,
                          AdmissionEngine& engine,
                          obs::Obs* obs = nullptr);

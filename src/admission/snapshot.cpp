@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -17,8 +16,6 @@ using persist::PersistError;
 
 constexpr std::uint32_t kSecMeta = 1;
 constexpr std::uint32_t kSecController = 2;
-constexpr std::uint32_t kSecEngine = 3;
-constexpr std::uint32_t kSecShard = 4;
 
 /// Smallest encodings of the repeated elements (see the encoders): a
 /// task with an empty name, one resident row (task + level + border
@@ -107,30 +104,19 @@ void decode_v2_analyzer(ByteReader& r) {
   }
 }
 
-void encode_meta(persist::SectionWriter& sw, SnapshotKind kind,
-                 std::uint64_t lsn) {
+void encode_meta(persist::SectionWriter& sw, std::uint64_t lsn) {
   ByteWriter& w = sw.begin(kSecMeta);
-  w.u8(static_cast<std::uint8_t>(kind));
+  w.u8(static_cast<std::uint8_t>(SnapshotKind::Controller));
   w.u64(lsn);
 }
 
-SnapshotMeta decode_meta(const persist::SectionReader& sr,
-                         SnapshotKind want) {
+SnapshotMeta decode_meta(const persist::SectionReader& sr) {
   ByteReader r = sr.section(kSecMeta);
   SnapshotMeta meta;
-  const std::uint8_t kind = r.u8();
-  if (kind != static_cast<std::uint8_t>(SnapshotKind::Controller) &&
-      kind != static_cast<std::uint8_t>(SnapshotKind::Engine)) {
+  if (r.u8() != static_cast<std::uint8_t>(SnapshotKind::Controller)) {
     throw PersistError(PersistErrc::BadValue, "unknown snapshot kind");
   }
-  meta.kind = static_cast<SnapshotKind>(kind);
   meta.journal_lsn = r.u64();
-  if (meta.kind != want) {
-    throw PersistError(PersistErrc::BadValue,
-                       meta.kind == SnapshotKind::Engine
-                           ? "engine snapshot loaded as controller"
-                           : "controller snapshot loaded as engine");
-  }
   return meta;
 }
 
@@ -142,8 +128,6 @@ struct Record {
   std::vector<Task> group;
   TaskId id = kInvalidTaskId;
   std::vector<TaskId> ids;
-  std::uint32_t shard = 0;
-  std::vector<TaskId> assigned;
   // ClientMark
   std::string client;
   std::uint64_t request_id = 0;
@@ -174,25 +158,6 @@ Record decode_record(std::span<const std::uint8_t> payload) {
       for (std::size_t i = 0; i < n; ++i) rec.ids.push_back(r.u64());
       break;
     }
-    case JournalOp::EngineAdmit:
-      rec.shard = r.u32();
-      rec.id = r.u64();
-      rec.task = decode_task(r);
-      break;
-    case JournalOp::EngineAdmitGroup: {
-      rec.shard = r.u32();
-      const std::size_t n =
-          bounded_count(r, r.u32(), 8 + kTaskBytes, "placed group");
-      rec.assigned.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) rec.assigned.push_back(r.u64());
-      rec.group.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) rec.group.push_back(decode_task(r));
-      break;
-    }
-    case JournalOp::EngineRemove:
-      rec.shard = r.u32();
-      rec.id = r.u64();
-      break;
     case JournalOp::ClientMark:
       rec.client = r.str();
       rec.request_id = r.u64();
@@ -241,36 +206,6 @@ std::vector<std::uint8_t> remove_group(std::span<const TaskId> ids) {
   w.u8(static_cast<std::uint8_t>(JournalOp::RemoveGroup));
   w.u32(static_cast<std::uint32_t>(ids.size()));
   for (const TaskId id : ids) w.u64(id);
-  return std::move(w).take();
-}
-
-std::vector<std::uint8_t> engine_admit(std::uint32_t shard, TaskId assigned,
-                                       const Task& t) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(JournalOp::EngineAdmit));
-  w.u32(shard);
-  w.u64(assigned);
-  encode_task(w, t);
-  return std::move(w).take();
-}
-
-std::vector<std::uint8_t> engine_admit_group(
-    std::uint32_t shard, std::span<const GlobalTaskId> assigned,
-    std::span<const Task> group) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(JournalOp::EngineAdmitGroup));
-  w.u32(shard);
-  w.u32(static_cast<std::uint32_t>(assigned.size()));
-  for (const GlobalTaskId id : assigned) w.u64(id.local);
-  for (const Task& t : group) encode_task(w, t);
-  return std::move(w).take();
-}
-
-std::vector<std::uint8_t> engine_remove(GlobalTaskId id) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(JournalOp::EngineRemove));
-  w.u32(id.shard);
-  w.u64(id.local);
   return std::move(w).take();
 }
 
@@ -567,140 +502,6 @@ struct SnapshotCodec {
     if (!v2_index_on) c.demand_.set_index_thresholds(SIZE_MAX, SIZE_MAX);
   }
 
-  static void engine_save(const AdmissionEngine& e, const std::string& path,
-                          const persist::Journal* journal) {
-    // Hold every shard across the journal-LSN capture: the snapshot
-    // then matches exactly one journal cut (no shard can commit+append
-    // between the capture and its serialization).
-    std::vector<std::unique_lock<std::mutex>> locks;
-    locks.reserve(e.shards_.size());
-    for (const auto& shard : e.shards_) locks.emplace_back(shard->mu);
-    const std::uint64_t lsn = journal != nullptr ? journal->lsn() : 0;
-
-    persist::SectionWriter sw;
-    encode_meta(sw, SnapshotKind::Engine, lsn);
-    {
-      ByteWriter& w = sw.begin(kSecEngine);
-      w.u64(e.shards_.size());
-      w.u8(static_cast<std::uint8_t>(e.opts_.placement));
-      w.u64(e.opts_.workers);
-    }
-    for (std::size_t i = 0; i < e.shards_.size(); ++i) {
-      ByteWriter& w = sw.begin(kSecShard);
-      w.u32(static_cast<std::uint32_t>(i));
-      // The shard's published store-header epoch at snapshot time —
-      // purely diagnostic (epochs restart with the process).
-      w.u64(e.shards_[i]->controller.demand_header().epoch);
-      encode_controller(e.shards_[i]->controller, w);
-    }
-    locks.clear();  // serialize happened under lock; IO happens outside
-    sw.finish(path);
-  }
-
-  static SnapshotMeta engine_load(AdmissionEngine& e,
-                                  const std::string& path) {
-    {
-      const std::lock_guard<std::mutex> lock(e.queue_mu_);
-      if (!e.workers_.empty()) {
-        throw PersistError(PersistErrc::BadValue,
-                           "load_snapshot into a serving engine");
-      }
-    }
-    const persist::SectionReader sr(persist::read_file(path));
-    const SnapshotMeta meta = decode_meta(sr, SnapshotKind::Engine);
-    ByteReader er = sr.section(kSecEngine);
-    const std::uint64_t shards = er.u64();
-    const std::uint8_t placement = er.u8();
-    if (shards == 0 || shards > sr.ids().size() ||
-        placement > static_cast<std::uint8_t>(PlacementPolicy::BestFit)) {
-      throw PersistError(PersistErrc::BadValue, "engine options");
-    }
-    std::vector<std::unique_ptr<AdmissionEngine::Shard>> fresh;
-    fresh.reserve(shards);
-    const std::vector<std::uint32_t>& ids = sr.ids();
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      if (ids[i] != kSecShard) continue;
-      ByteReader w = sr.section_at(i);
-      const std::uint32_t idx = w.u32();
-      (void)w.u64();  // header epoch (diagnostic)
-      if (idx != fresh.size()) {
-        throw PersistError(PersistErrc::BadValue, "shard order");
-      }
-      auto shard = std::make_unique<AdmissionEngine::Shard>(
-          AdmissionOptions{});
-      decode_controller(shard->controller, w, sr.version());
-      shard->load.store(shard->controller.utilization(),
-                        std::memory_order_relaxed);
-      shard->publish();
-      fresh.push_back(std::move(shard));
-    }
-    if (fresh.size() != shards) {
-      throw PersistError(PersistErrc::BadValue, "shard count");
-    }
-    e.opts_.shards = shards;
-    e.opts_.placement = static_cast<PlacementPolicy>(placement);
-    e.opts_.workers = er.u64();
-    e.opts_.admission = fresh.front()->controller.options();
-    e.shards_ = std::move(fresh);
-    return meta;
-  }
-
-  /// Replay one committed engine record onto its recorded shard,
-  /// translating recorded local ids to the ids the recovered shard
-  /// actually assigns.
-  static void engine_apply(
-      AdmissionEngine& e, const Record& rec,
-      std::map<std::pair<std::uint32_t, TaskId>, TaskId>& remap,
-      RecoveryResult& out) {
-    if (rec.shard >= e.shards_.size()) {
-      throw PersistError(PersistErrc::BadValue, "record shard index");
-    }
-    AdmissionEngine::Shard& s = *e.shards_[rec.shard];
-    const std::lock_guard<std::mutex> lock(s.mu);
-    switch (rec.op) {
-      case JournalOp::EngineAdmit: {
-        const AdmissionDecision d = s.controller.try_admit(rec.task);
-        if (d.admitted) {
-          remap[{rec.shard, rec.id}] = d.id;
-        } else {
-          ++out.skipped;
-        }
-        break;
-      }
-      case JournalOp::EngineAdmitGroup: {
-        const GroupDecision d = s.controller.admit_group(rec.group);
-        if (d.admitted && d.ids.size() == rec.assigned.size()) {
-          for (std::size_t i = 0; i < d.ids.size(); ++i) {
-            remap[{rec.shard, rec.assigned[i]}] = d.ids[i];
-          }
-        } else {
-          ++out.skipped;
-        }
-        break;
-      }
-      case JournalOp::EngineRemove: {
-        TaskId local = rec.id;
-        const auto it = remap.find({rec.shard, rec.id});
-        if (it != remap.end()) local = it->second;
-        if (!s.controller.remove(local)) ++out.skipped;
-        break;
-      }
-      default:
-        throw PersistError(PersistErrc::BadValue,
-                           "controller record in engine journal");
-    }
-    s.load.store(s.controller.utilization(), std::memory_order_relaxed);
-    s.publish();
-  }
-
-  static persist::Journal* detach_journal(AdmissionEngine& e) noexcept {
-    return e.journal_.exchange(nullptr, std::memory_order_acq_rel);
-  }
-  static void reattach_journal(AdmissionEngine& e,
-                               persist::Journal* j) noexcept {
-    e.journal_.store(j, std::memory_order_release);
-  }
-
   /// Return the store to its freshly-constructed state (configuration
   /// — epsilon, index/compaction flags, thresholds — kept). Cold
   /// journal replay starts from here: replaying records into a
@@ -739,55 +540,24 @@ struct SnapshotCodec {
     c.sequence_ = 0;
     reset_demand(c.demand_);
   }
-
-  /// Rebuild every shard empty (engine options kept). \pre not serving.
-  static void reset_engine(AdmissionEngine& e) {
-    {
-      const std::lock_guard<std::mutex> lock(e.queue_mu_);
-      if (!e.workers_.empty()) {
-        throw PersistError(PersistErrc::BadValue,
-                           "recover into a serving engine");
-      }
-    }
-    std::vector<std::unique_ptr<AdmissionEngine::Shard>> fresh;
-    fresh.reserve(e.opts_.shards);
-    for (std::size_t i = 0; i < e.opts_.shards; ++i) {
-      fresh.push_back(
-          std::make_unique<AdmissionEngine::Shard>(e.opts_.admission));
-    }
-    e.shards_ = std::move(fresh);
-  }
 };
 
 void save_snapshot(const AdmissionController& controller,
                    const std::string& path, std::uint64_t journal_lsn) {
   persist::SectionWriter sw;
-  encode_meta(sw, SnapshotKind::Controller, journal_lsn);
+  encode_meta(sw, journal_lsn);
   SnapshotCodec::encode_controller(controller, sw.begin(kSecController));
   sw.finish(path);
-}
-
-void save_snapshot(const AdmissionEngine& engine, const std::string& path,
-                   const persist::Journal* journal) {
-  SnapshotCodec::engine_save(engine, path, journal);
 }
 
 SnapshotMeta load_snapshot(AdmissionController& out,
                            const std::string& path) {
   try {
     const persist::SectionReader sr(persist::read_file(path));
-    const SnapshotMeta meta = decode_meta(sr, SnapshotKind::Controller);
+    const SnapshotMeta meta = decode_meta(sr);
     ByteReader r = sr.section(kSecController);
     SnapshotCodec::decode_controller(out, r, sr.version());
     return meta;
-  } catch (const std::out_of_range&) {
-    throw PersistError(PersistErrc::Truncated, path);
-  }
-}
-
-SnapshotMeta load_snapshot(AdmissionEngine& out, const std::string& path) {
-  try {
-    return SnapshotCodec::engine_load(out, path);
   } catch (const std::out_of_range&) {
     throw PersistError(PersistErrc::Truncated, path);
   }
@@ -828,16 +598,13 @@ void apply_record(AdmissionController& out,
         observer->on_mark(rec.client, rec.request_id, rec.mark_flags);
       }
       break;
-    default:
-      throw PersistError(PersistErrc::BadValue,
-                         "engine record in controller journal");
   }
 }
 
 std::vector<std::uint8_t> encode_snapshot(
     const AdmissionController& controller, std::uint64_t journal_lsn) {
   persist::SectionWriter sw;
-  encode_meta(sw, SnapshotKind::Controller, journal_lsn);
+  encode_meta(sw, journal_lsn);
   SnapshotCodec::encode_controller(controller, sw.begin(kSecController));
   return sw.encode();
 }
@@ -846,7 +613,7 @@ SnapshotMeta load_snapshot_bytes(AdmissionController& out,
                                  std::vector<std::uint8_t> bytes) {
   try {
     const persist::SectionReader sr(std::move(bytes));
-    const SnapshotMeta meta = decode_meta(sr, SnapshotKind::Controller);
+    const SnapshotMeta meta = decode_meta(sr);
     ByteReader r = sr.section(kSecController);
     SnapshotCodec::decode_controller(out, r, sr.version());
     return meta;
@@ -858,7 +625,7 @@ SnapshotMeta load_snapshot_bytes(AdmissionController& out,
 SnapshotMeta read_snapshot_meta(std::vector<std::uint8_t> bytes) {
   try {
     const persist::SectionReader sr(std::move(bytes));
-    return decode_meta(sr, SnapshotKind::Controller);
+    return decode_meta(sr);
   } catch (const std::out_of_range&) {
     throw PersistError(PersistErrc::Truncated, "snapshot bytes");
   }
@@ -918,100 +685,6 @@ RecoveryResult recover(AdmissionController& out,
   }
   out.attach_journal(attached);
   return result;
-}
-
-RecoveryResult recover(AdmissionEngine& out,
-                       const std::string& snapshot_path,
-                       const std::string& journal_path) {
-  RecoveryResult result;
-  persist::Journal* attached = SnapshotCodec::detach_journal(out);
-  try {
-    if (!snapshot_path.empty() && persist::file_exists(snapshot_path)) {
-      const SnapshotMeta meta = load_snapshot(out, snapshot_path);
-      result.snapshot_loaded = true;
-      result.snapshot_lsn = meta.journal_lsn;
-    } else {
-      // Cold start: discard any state the caller's engine holds (see
-      // the controller overload).
-      SnapshotCodec::reset_engine(out);
-    }
-    if (!journal_path.empty() && persist::file_exists(journal_path)) {
-      const persist::JournalScan scan = persist::scan_journal(journal_path);
-      result.torn_tail = scan.torn_tail;
-      result.journal_records = scan.records.size();
-      if (result.snapshot_lsn >
-          scan.base_lsn + scan.records.size()) {
-        throw PersistError(PersistErrc::BadValue,
-                           "snapshot is ahead of the journal");
-      }
-      if (result.snapshot_lsn < scan.base_lsn) {
-        throw PersistError(PersistErrc::BadValue,
-                           "journal rotated past the snapshot LSN");
-      }
-      std::map<std::pair<std::uint32_t, TaskId>, TaskId> remap;
-      for (std::uint64_t i = result.snapshot_lsn - scan.base_lsn;
-           i < scan.records.size(); ++i) {
-        const Record rec = decode_record(scan.records[i]);
-        SnapshotCodec::engine_apply(out, rec, remap, result);
-        ++result.replayed;
-      }
-    }
-  } catch (...) {
-    SnapshotCodec::reattach_journal(out, attached);
-    throw;
-  }
-  SnapshotCodec::reattach_journal(out, attached);
-  return result;
-}
-
-CheckpointDaemon::CheckpointDaemon(const AdmissionEngine& engine,
-                                   std::string path,
-                                   std::chrono::milliseconds interval,
-                                   const persist::Journal* journal)
-    : engine_(engine),
-      path_(std::move(path)),
-      interval_(interval),
-      journal_(journal),
-      thread_([this] { run(); }) {}
-
-CheckpointDaemon::~CheckpointDaemon() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  thread_.join();
-  // One final checkpoint so a clean shutdown never loses tail state
-  // (failure absorbed: a destructor must not throw).
-  try_flush();
-}
-
-void CheckpointDaemon::flush_now() {
-  const std::lock_guard<std::mutex> lock(write_mu_);
-  save_snapshot(engine_, path_, journal_);
-  written_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void CheckpointDaemon::try_flush() noexcept {
-  try {
-    flush_now();
-  } catch (...) {
-    // Transient IO failure (disk full, permissions): the previous
-    // snapshot is still intact on disk (writes are atomic) and the
-    // next tick retries — degrading durability must never take the
-    // serving process down.
-    failures_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void CheckpointDaemon::run() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    if (cv_.wait_for(lock, interval_, [this] { return stop_; })) return;
-    lock.unlock();
-    try_flush();
-    lock.lock();
-  }
 }
 
 }  // namespace edfkit

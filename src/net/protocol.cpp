@@ -61,6 +61,7 @@ Certificate decode_certificate(ByteReader& r) {
   c.witness = r.i64();
   c.bound = r.i64();
   const std::uint32_t n = r.u32();
+  if (n > r.remaining() / 8) throw std::out_of_range("border count");
   c.borders.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) c.borders.push_back(r.i64());
   if (r.remaining() >= 5) {  // v2: processors u32 + multi_test u8

@@ -170,7 +170,9 @@ SectionReader::SectionReader(std::vector<std::uint8_t> bytes)
       const std::uint64_t len = h.u64();
       const std::uint32_t crc = h.u32();
       const std::size_t payload = off + 16;
-      if (payload + len > bytes_.size()) {
+      // Subtract, never add: a u64 length near 2^64 would wrap the sum
+      // past the check and send crc32 off the end of the buffer.
+      if (len > bytes_.size() - payload) {
         throw PersistError(PersistErrc::Truncated,
                            "section " + std::to_string(id) +
                                " extends past end of file");
@@ -197,15 +199,14 @@ bool SectionReader::has_section(std::uint32_t id) const noexcept {
 
 ByteReader SectionReader::section(std::uint32_t id) const {
   for (std::size_t i = 0; i < ids_.size(); ++i) {
-    if (ids_[i] == id) return section_at(i);
+    if (ids_[i] == id) {
+      const auto [off, len] = spans_[i];
+      return ByteReader{
+          std::span<const std::uint8_t>(bytes_).subspan(off, len)};
+    }
   }
   throw PersistError(PersistErrc::BadSection,
                      "section " + std::to_string(id));
-}
-
-ByteReader SectionReader::section_at(std::size_t i) const {
-  const auto [off, len] = spans_.at(i);
-  return ByteReader{std::span<const std::uint8_t>(bytes_).subspan(off, len)};
 }
 
 }  // namespace edfkit::persist

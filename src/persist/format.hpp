@@ -128,15 +128,8 @@ class SectionReader {
   /// \throws PersistError{BadSection} when absent.
   [[nodiscard]] ByteReader section(std::uint32_t id) const;
   [[nodiscard]] bool has_section(std::uint32_t id) const noexcept;
-  /// Section ids in file order (duplicates allowed — the engine writes
-  /// one shard section per shard under the same id family).
-  [[nodiscard]] const std::vector<std::uint32_t>& ids() const noexcept {
-    return ids_;
-  }
   /// Container format version, in [kMinFormatVersion, kFormatVersion].
   [[nodiscard]] std::uint32_t version() const noexcept { return version_; }
-  /// Reader over the i-th section (file order). \pre i < ids().size()
-  [[nodiscard]] ByteReader section_at(std::size_t i) const;
 
  private:
   std::vector<std::uint8_t> bytes_;

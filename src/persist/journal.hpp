@@ -32,10 +32,9 @@
 ///   EveryN      — fdatasync every `fsync_interval` records: bounded
 ///                 loss window, amortized flush cost.
 ///
-/// append() is thread-safe (internal mutex): the engine journals from
-/// concurrent admit paths. LSNs are record indices (0-based): a
-/// snapshot taken at lsn L reflects exactly records [0, L), and
-/// recovery replays [L, end).
+/// append() is thread-safe (internal mutex). LSNs are record indices
+/// (0-based): a snapshot taken at lsn L reflects exactly records
+/// [0, L), and recovery replays [L, end).
 ///
 /// Compaction: rotate(L) garbage-collects every record below LSN L —
 /// the prefix a snapshot at LSN >= L has already folded in — by

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <future>
 #include <thread>
 #include <vector>
 
@@ -22,7 +21,6 @@ TEST(AdmissionEngine, RejectsZeroShards) {
 TEST(AdmissionEngine, FirstFitFillsLowShardsFirst) {
   EngineOptions opts;
   opts.shards = 3;
-  opts.workers = 1;
   opts.placement = PlacementPolicy::FirstFit;
   AdmissionEngine engine(opts);
   // Each shard holds exactly two of these (U = 0.5 each).
@@ -40,7 +38,6 @@ TEST(AdmissionEngine, FirstFitFillsLowShardsFirst) {
 TEST(AdmissionEngine, WorstFitBalances) {
   EngineOptions opts;
   opts.shards = 4;
-  opts.workers = 1;
   opts.placement = PlacementPolicy::WorstFit;
   AdmissionEngine engine(opts);
   for (int i = 0; i < 8; ++i) {
@@ -57,7 +54,6 @@ TEST(AdmissionEngine, CapacityScalesWithShards) {
   for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
     EngineOptions opts;
     opts.shards = shards;
-    opts.workers = 1;
     AdmissionEngine engine(opts);
     std::size_t admitted = 0;
     for (int i = 0; i < 4; ++i) {
@@ -74,7 +70,6 @@ TEST(AdmissionEngine, CapacityScalesWithShards) {
 TEST(AdmissionEngine, RemoveAndInvalidIds) {
   EngineOptions opts;
   opts.shards = 2;
-  opts.workers = 1;
   AdmissionEngine engine(opts);
   const PlacementDecision d = engine.admit(tk(1, 5, 10));
   ASSERT_TRUE(d.admitted);
@@ -85,23 +80,9 @@ TEST(AdmissionEngine, RemoveAndInvalidIds) {
   EXPECT_EQ(engine.stats().resident, 0u);
 }
 
-TEST(AdmissionEngine, SubmitRunsOnWorkerPool) {
-  EngineOptions opts;
-  opts.shards = 2;
-  opts.workers = 2;
-  AdmissionEngine engine(opts);
-  std::vector<std::future<PlacementDecision>> futs;
-  for (int i = 0; i < 16; ++i) futs.push_back(engine.submit(tk(1, 20, 40)));
-  std::size_t admitted = 0;
-  for (auto& f : futs) admitted += f.get().admitted ? 1 : 0;
-  EXPECT_EQ(admitted, 16u);
-  EXPECT_EQ(engine.stats().resident, 16u);
-}
-
 TEST(AdmissionEngine, ConcurrentChurnKeepsEveryShardFeasible) {
   EngineOptions opts;
   opts.shards = 4;
-  opts.workers = 2;
   opts.placement = PlacementPolicy::WorstFit;
   AdmissionEngine engine(opts);
 

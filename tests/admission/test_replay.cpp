@@ -85,7 +85,6 @@ TEST(Replay, EngineMatchesAccounting) {
 
   EngineOptions opts;
   opts.shards = 2;
-  opts.workers = 1;
   AdmissionEngine engine(opts);
   const ReplayStats s = replay_trace(trace, engine);
   EXPECT_EQ(s.admitted + s.rejected, s.arrivals);

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "../helpers.hpp"
@@ -239,29 +240,25 @@ TEST(GlobalAdmission, PartitionedAdmitsWhatGlobalRejects) {
   EXPECT_TRUE(engine.admit(heavy).admitted);
 }
 
-TEST(GlobalAdmission, EngineGlobalModeCoercesToOneController) {
+TEST(GlobalAdmission, EngineRefusesPlatformAdmitsOnOneController) {
+  // Engine shards are uniprocessors: an m-processor platform is refused,
+  // not silently folded into one shard.
   EngineOptions eo;
   eo.shards = 4;
   eo.admission.platform = Platform{4};
-  eo.admission.return_certificate = true;
-  AdmissionEngine engine(eo);
-  EXPECT_TRUE(engine.global_mode());
-  EXPECT_EQ(engine.shards(), 1u);
-  EXPECT_EQ(engine.processors(), 4u);
+  EXPECT_THROW(AdmissionEngine{eo}, std::invalid_argument);
 
-  // Density 1.8 <= 4 - 3 * 0.6: GFB admits all three on the one
-  // global controller, where a 4-shard partitioned engine would have
-  // spread them out.
+  // Global admission is one controller on Platform{4}. Density
+  // 1.8 <= 4 - 3 * 0.6: GFB admits all three, where a 4-shard
+  // partitioned engine would have spread them out.
+  AdmissionOptions ao;
+  ao.platform = Platform{4};
+  ao.return_certificate = true;
+  AdmissionController global(ao);
   for (int i = 0; i < 3; ++i) {
-    const PlacementDecision d = engine.admit(tk(6, 10, 10));
-    ASSERT_TRUE(d.admitted);
-    EXPECT_EQ(d.id.shard, 0u);
+    ASSERT_TRUE(global.try_admit(tk(6, 10, 10)).admitted);
   }
-  EngineStats stats;
-  engine.stats_into(stats);
-  EXPECT_TRUE(stats.global);
-  EXPECT_EQ(stats.processors, 4u);
-  EXPECT_EQ(stats.resident, 3u);
+  EXPECT_EQ(global.size(), 3u);
 }
 
 // ---------------------------------------------------------------------------

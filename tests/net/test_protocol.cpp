@@ -294,6 +294,18 @@ TEST(Codec, CountPrefixCannotOverrunTheBody) {
   const std::uint32_t lie = 0x00FFFFFF;
   std::memcpy(payload.data() + kMessageHeaderBytes, &lie, sizeof(lie));
   EXPECT_THROW((void)decode_request(payload), std::out_of_range);
+
+  // Same for the border count of an ADMIT response's certificate: its
+  // u32 sits ahead of the borders and the 5 trailing v2 bytes.
+  NetResponse resp;
+  resp.hdr.op = static_cast<std::uint8_t>(NetOp::Admit);
+  resp.hdr.flags = kFlagHasCertificate;
+  resp.certificate.borders = {7, 12, 31};
+  std::vector<std::uint8_t> body = encode_response(resp);
+  const std::uint32_t borders = 0xFFFFFFFF;
+  std::memcpy(body.data() + body.size() - (4 + 3 * 8 + 5), &borders,
+              sizeof(borders));
+  EXPECT_THROW((void)decode_response(body), std::out_of_range);
 }
 
 TEST(Codec, UnknownOpDecodesHeaderOnly) {

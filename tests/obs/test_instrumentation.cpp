@@ -146,7 +146,6 @@ TEST(ObsInstrumentation, StatsToJsonCarriesTheNewFields) {
 
   EngineOptions opts;
   opts.shards = 2;
-  opts.workers = 1;
   AdmissionEngine engine(opts);
   (void)engine.admit(testing::tk(1, 10, 10));
   const EngineStats es = engine.stats();
@@ -163,7 +162,6 @@ TEST(ObsInstrumentation, EngineStatsReadRetriesAccumulate) {
   obs::Obs obs;
   EngineOptions opts;
   opts.shards = 2;
-  opts.workers = 1;
   AdmissionEngine engine(opts);
   engine.attach_obs(&obs);
   const std::vector<TraceEvent> trace = churn(31, 300);

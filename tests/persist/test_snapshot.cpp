@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -314,105 +315,6 @@ TEST(Snapshot, CrashOpsResumeTransparently) {
   std::remove(wal.c_str());
 }
 
-TEST(Snapshot, EngineRoundTripRestoresShards) {
-  const std::string path = temp_path("engine");
-  EngineOptions opts;
-  opts.shards = 3;
-  opts.placement = PlacementPolicy::WorstFit;
-  opts.admission.skip_exact = true;
-  AdmissionEngine engine(opts);
-  Rng rng(5);
-  std::vector<GlobalTaskId> placed;
-  for (int round = 0; round < 6; ++round) {
-    const TaskSet ts = draw_small_set(rng, 0.6);
-    for (const Task& t : ts) {
-      const PlacementDecision d = engine.admit(t);
-      if (d.admitted) placed.push_back(d.id);
-    }
-  }
-  for (std::size_t i = 0; i < placed.size(); i += 3) {
-    (void)engine.remove(placed[i]);
-  }
-  ASSERT_GT(engine.stats().resident, 0u);
-
-  save_snapshot(engine, path);
-  EngineOptions stale;  // every option is overwritten by the load
-  stale.shards = 1;
-  AdmissionEngine restored(stale);
-  const SnapshotMeta meta = load_snapshot(restored, path);
-  EXPECT_EQ(meta.kind, SnapshotKind::Engine);
-  ASSERT_EQ(restored.shards(), engine.shards());
-  const EngineStats a = engine.stats_locked();
-  const EngineStats b = restored.stats_locked();
-  EXPECT_EQ(a.resident, b.resident);
-  EXPECT_EQ(a.admission.to_string(), b.admission.to_string());
-  EXPECT_EQ(a.shard_resident, b.shard_resident);
-  for (std::size_t i = 0; i < engine.shards(); ++i) {
-    const TaskSet sa = engine.shard_snapshot(i);
-    const TaskSet sb = restored.shard_snapshot(i);
-    ASSERT_EQ(sa.size(), sb.size()) << "shard " << i;
-    for (std::size_t r = 0; r < sa.size(); ++r) {
-      EXPECT_TRUE(sa[r] == sb[r]) << "shard " << i << " row " << r;
-    }
-    EXPECT_TRUE(restored.analyze_shard(i).feasible() ||
-                sb.empty());  // the admission invariant survives disk
-  }
-  std::remove(path.c_str());
-}
-
-TEST(Snapshot, EngineJournalRecoveryRestoresResidents) {
-  const std::string snap = temp_path("ej.snap");
-  const std::string wal = temp_path("ej.wal");
-  std::remove(snap.c_str());
-  std::remove(wal.c_str());
-  EngineOptions opts;
-  opts.shards = 2;
-  opts.admission.skip_exact = true;
-  persist::Journal journal = persist::Journal::create(wal);
-  std::vector<GlobalTaskId> placed;
-  {
-    AdmissionEngine engine(opts);
-    engine.attach_journal(&journal);
-    Rng rng(9);
-    for (int round = 0; round < 4; ++round) {
-      const TaskSet ts = draw_small_set(rng, 0.5);
-      std::vector<Task> group(ts.begin(), ts.end());
-      const GroupPlacement g = engine.admit_group(group);
-      if (g.admitted) {
-        placed.insert(placed.end(), g.ids.begin(), g.ids.end());
-      }
-      if (round == 1) save_snapshot(engine, snap, &journal);
-      if (!placed.empty() && round >= 2) {
-        (void)engine.remove(placed.front());
-        placed.erase(placed.begin());
-      }
-    }
-    engine.attach_journal(nullptr);
-
-    EngineOptions stale;
-    stale.shards = 1;
-    AdmissionEngine restored(stale);
-    const RecoveryResult rec = recover(restored, snap, wal);
-    EXPECT_TRUE(rec.snapshot_loaded);
-    EXPECT_GT(rec.replayed, 0u);
-    EXPECT_EQ(rec.skipped, 0u);
-    const EngineStats a = engine.stats_locked();
-    const EngineStats b = restored.stats_locked();
-    EXPECT_EQ(a.resident, b.resident);
-    EXPECT_EQ(a.shard_resident, b.shard_resident);
-    for (std::size_t i = 0; i < engine.shards(); ++i) {
-      const TaskSet sa = engine.shard_snapshot(i);
-      const TaskSet sb = restored.shard_snapshot(i);
-      ASSERT_EQ(sa.size(), sb.size()) << "shard " << i;
-      for (std::size_t r = 0; r < sa.size(); ++r) {
-        EXPECT_TRUE(sa[r] == sb[r]) << "shard " << i << " row " << r;
-      }
-    }
-  }
-  std::remove(snap.c_str());
-  std::remove(wal.c_str());
-}
-
 /// Offsets into a format-v3 controller section payload (see
 /// SnapshotCodec::encode_controller): 35 bytes of options, 80 of stats
 /// and the 8-byte decision sequence, then the demand store's k (8) and
@@ -452,14 +354,23 @@ std::uint64_t patch_controller_u64(std::vector<std::uint8_t>& bytes,
   }
 }
 
+/// Run `load` and expect a PersistError with code `want`.
+template <typename Load>
+void expect_persist_error(Load load, persist::PersistErrc want,
+                          const std::string& what) {
+  try {
+    load();
+    ADD_FAILURE() << what << ": accepted";
+  } catch (const persist::PersistError& e) {
+    EXPECT_EQ(e.code(), want) << what;
+  }
+}
+
 void expect_bad_value(std::vector<std::uint8_t> bytes, const char* what) {
   AdmissionController out;
-  try {
-    (void)load_snapshot_bytes(out, std::move(bytes));
-    ADD_FAILURE() << what << ": corrupt snapshot accepted";
-  } catch (const persist::PersistError& e) {
-    EXPECT_EQ(e.code(), persist::PersistErrc::BadValue) << what;
-  }
+  expect_persist_error(
+      [&] { (void)load_snapshot_bytes(out, std::move(bytes)); },
+      persist::PersistErrc::BadValue, what);
 }
 
 TEST(Snapshot, OversizedCountsAreTypedErrorsNotAllocations) {
@@ -516,31 +427,85 @@ TEST(Snapshot, IndexThresholdsRoundTripAndInvertedOnesAreRejected) {
 }
 
 TEST(Snapshot, KindMismatchAndGarbageAreTypedErrors) {
-  const std::string path = temp_path("kind");
-  AdmissionController ctl;
-  save_snapshot(ctl, path, 0);
-  EngineOptions eopts;
-  eopts.shards = 1;
-  AdmissionEngine engine(eopts);
-  try {
-    (void)load_snapshot(engine, path);
-    FAIL() << "controller snapshot loaded as engine";
-  } catch (const persist::PersistError& e) {
-    EXPECT_EQ(e.code(), persist::PersistErrc::BadValue);
-  }
+  // A sharded-engine snapshot (kind 2, written by the last format-v2
+  // writer) has no reader any more: every controller entry point
+  // refuses it as an unknown kind.
+  const std::string engine_snap =
+      std::string(EDFKIT_TEST_DATA_DIR) + "/snapshot_v2/engine_default.snap";
+  const std::vector<std::uint8_t> engine_bytes =
+      persist::read_file(engine_snap);
+  AdmissionController out;
+  expect_persist_error([&] { (void)load_snapshot(out, engine_snap); },
+                       persist::PersistErrc::BadValue, "load_snapshot");
+  expect_persist_error(
+      [&] { (void)load_snapshot_bytes(out, engine_bytes); },
+      persist::PersistErrc::BadValue, "load_snapshot_bytes");
+  expect_persist_error([&] { (void)read_snapshot_meta(engine_bytes); },
+                       persist::PersistErrc::BadValue, "read_snapshot_meta");
+
   // Garbage bytes: BadMagic, not a silent empty store.
-  {
-    std::vector<std::uint8_t> junk(32, static_cast<std::uint8_t>('n'));
-    persist::write_file_atomic(path, junk);
-    AdmissionController out;
-    try {
-      (void)load_snapshot(out, path);
-      FAIL() << "garbage accepted";
-    } catch (const persist::PersistError& e) {
-      EXPECT_EQ(e.code(), persist::PersistErrc::BadMagic);
-    }
-  }
+  const std::string path = temp_path("kind");
+  persist::write_file_atomic(
+      path, std::vector<std::uint8_t>(32, static_cast<std::uint8_t>('n')));
+  expect_persist_error([&] { (void)load_snapshot(out, path); },
+                       persist::PersistErrc::BadMagic, "garbage");
   std::remove(path.c_str());
+}
+
+TEST(Snapshot, SectionLengthNearTwoToTheSixtyFourIsTruncated) {
+  // The first section's u64 length sits after the magic, version,
+  // section count and section id. A length this close to 2^64 wraps
+  // `offset + length` back inside the buffer; the reader must still
+  // see that the section runs past the end instead of CRC-ing it.
+  std::vector<std::uint8_t> bytes = encode_snapshot(AdmissionController{});
+  constexpr std::size_t kFirstLenOffset = 8 + 4 + 4 + 4;
+  const std::uint64_t len = UINT64_MAX - 15;
+  std::memcpy(bytes.data() + kFirstLenOffset, &len, sizeof len);
+  expect_persist_error(
+      [&] { (void)persist::SectionReader(bytes); },
+      persist::PersistErrc::Truncated, "wrapped section length");
+  AdmissionController out;
+  expect_persist_error([&] { (void)load_snapshot_bytes(out, bytes); },
+                       persist::PersistErrc::Truncated,
+                       "load_snapshot_bytes");
+}
+
+TEST(Snapshot, RetiredEngineJournalRecordsAreBadValue) {
+  // The retired engine records, tags 16-18, in the layout their last
+  // writer used: shard, then the assigned id(s), then the task(s).
+  const Task t = tk(1, 10, 20);
+  const auto engine_record = [&](std::uint8_t tag) {
+    ByteWriter w;
+    w.u8(tag);
+    w.u32(0);  // shard
+    if (tag == 17) w.u32(1);  // group size
+    w.u64(1);  // assigned (or removed) local id
+    if (tag != 18) {
+      w.i64(t.wcet);
+      w.i64(t.deadline);
+      w.i64(t.period);
+      w.i64(t.jitter);
+      w.str(t.name);
+    }
+    return std::move(w).take();
+  };
+  const std::string wal = temp_path("retired.wal");
+  for (const std::uint8_t tag : {16, 17, 18}) {
+    const std::vector<std::uint8_t> record = engine_record(tag);
+    AdmissionController ctl;
+    expect_persist_error([&] { apply_record(ctl, record); },
+                         persist::PersistErrc::BadValue,
+                         "apply_record tag " + std::to_string(tag));
+    {
+      persist::Journal j = persist::Journal::create(wal);
+      (void)j.append(journal_codec::admit(t));
+      (void)j.append(record);
+    }
+    expect_persist_error([&] { (void)recover(ctl, "", wal); },
+                         persist::PersistErrc::BadValue,
+                         "recover tag " + std::to_string(tag));
+  }
+  std::remove(wal.c_str());
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 /// \file test_snapshot_v2.cpp
 /// Format-v2 read upgrade. The fixtures under tests/data/snapshot_v2/
 /// were written by the last v2 writer (see the README there): each
-/// `.snap` is a controller or engine snapshot taken mid-trace, and its
+/// controller `.snap` is a snapshot taken mid-trace, and its
 /// `.expected` file lists the continuation operations with the
 /// decisions the v2 build made for them. Loaded by the v3 reader, every
 /// fixture must reproduce those decisions exactly — the dropped fields
 /// upgrade without changing a decision — except the one that sets a
-/// non-default exact-rung option, which must refuse to load.
+/// non-default exact-rung option, which must refuse to load. (The
+/// engine fixture is refused by kind; see test_snapshot.cpp.)
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -149,43 +150,6 @@ TEST(SnapshotV2, IndexOffUpgradesToNeverEngageThresholds) {
             digest("controller_index_off_eager", true));
   EXPECT_NE(digest("controller_default", false),
             digest("controller_default", true));
-}
-
-TEST(SnapshotV2, EngineSnapshotReproducesV2Decisions) {
-  AdmissionEngine engine(EngineOptions{});
-  (void)load_snapshot(engine, kDir + "engine_default.snap");
-  ASSERT_EQ(engine.shards(), 2u);
-  const std::vector<Step> steps = read_expected("engine_default");
-  ASSERT_GT(steps.size(), 100u);
-  for (const Step& s : steps) {
-    std::istringstream in(s.op);
-    std::string op;
-    in >> op;
-    std::ostringstream got;
-    if (op == "admit") {
-      const PlacementDecision d = engine.admit(read_task(in));
-      got << (d.admitted ? 1 : 0) << ' ' << (d.admitted ? d.id.shard : 0)
-          << ' ' << d.id.local << ' ' << to_string(d.rung) << ' '
-          << d.shards_tried << ' ' << analysis_fields(d.analysis);
-    } else if (op == "group") {
-      const GroupPlacement d = engine.admit_group(read_group(in));
-      std::vector<TaskId> locals;
-      for (const GlobalTaskId id : d.ids) locals.push_back(id.local);
-      got << (d.admitted ? 1 : 0) << ' ' << (d.admitted ? d.shard : 0)
-          << ' ' << join_ids(locals) << ' ' << to_string(d.rung) << ' '
-          << d.shards_tried << ' ' << analysis_fields(d.analysis);
-    } else if (op == "remove") {
-      GlobalTaskId id;
-      in >> id.shard >> id.local;
-      got << (engine.remove(id) ? 1 : 0);
-    } else if (op == "stats") {
-      got << engine.stats().admission.to_string();
-    } else {
-      ASSERT_EQ(op, "resident");
-      got << engine.stats().resident;
-    }
-    ASSERT_EQ(got.str(), s.expected) << s.op;
-  }
 }
 
 TEST(SnapshotV2, NonDefaultExactRungOptionIsRejected) {
