@@ -1,66 +1,18 @@
 #include "analysis/chakraborty.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
-#include "analysis/utilization.hpp"
-#include "demand/approx.hpp"
+#include "core/superpos.hpp"
 
 namespace edfkit {
 
 ChakrabortyResult chakraborty_test(const TaskSet& ts, double epsilon) {
   if (!(epsilon > 0.0) || epsilon > 1.0)
     throw std::invalid_argument("chakraborty_test: epsilon in (0,1] required");
-  ChakrabortyResult out;
   const Time k = static_cast<Time>(std::ceil(1.0 / epsilon));
-  out.epsilon = 1.0 / static_cast<double>(k);
-
-  if (ts.empty()) {
-    out.base.verdict = Verdict::Feasible;
-    return out;
-  }
-  if (utilization_exceeds_one(ts)) {
-    out.base.verdict = Verdict::Infeasible;
-    out.base.iterations = 1;
-    out.demand_ratio = ts.utilization_double();
-    return out;
-  }
-
-  // Corner points of dbf'(., k): deadlines of the first k jobs of every
-  // task. Between corners the slope is <= U <= 1, so corner checks are
-  // complete.
-  std::vector<Time> points;
-  points.reserve(ts.size() * static_cast<std::size_t>(k));
-  for (const Task& t : ts) {
-    for (Time j = 0; j < k; ++j) {
-      const Time d = t.job_deadline(j);
-      if (is_time_infinite(d)) break;
-      points.push_back(d);
-      if (is_time_infinite(t.period)) break;  // one-shot: single corner
-    }
-  }
-  std::sort(points.begin(), points.end());
-  points.erase(std::unique(points.begin(), points.end()), points.end());
-
-  bool accepted = true;
-  for (const Time i : points) {
-    ++out.base.iterations;
-    out.base.max_interval_tested = i;
-    const Rational d = approx_dbf(ts, i, k);
-    out.demand_ratio =
-        std::max(out.demand_ratio, d.to_double() / static_cast<double>(i));
-    if (!d.certainly_le(i)) {
-      accepted = false;
-      out.base.degraded = out.base.degraded || !d.exact();
-      break;
-    }
-  }
-  // Acceptance is sound. Rejection only certifies infeasibility at
-  // capacity (1 - epsilon); report Unknown per the type contract.
-  out.base.verdict = accepted ? Verdict::Feasible : Verdict::Unknown;
-  return out;
+  const SuperPosSweep s = superpos_sweep(ts, k);
+  return {s.base, 1.0 / static_cast<double>(k), s.demand_ratio};
 }
 
 }  // namespace edfkit

@@ -7,10 +7,14 @@
 /// k = ceil(1/epsilon) jobs of each task and bounds the remainder by its
 /// linear envelope. Acceptance is sound (the set is feasible); rejection
 /// certifies infeasibility only on a processor of capacity (1 - epsilon).
-/// Structurally this is the superposition test at level k — the paper's
-/// §3.4 groups both under the same umbrella — but the entry point here
-/// exposes the epsilon/error-capacity contract of [8] and reports the
-/// measured demand/capacity ratio.
+/// That demand is SuperPos(k)'s dbf', so — as the paper claims, the
+/// approximation derives from its tests — this entry point runs the
+/// superposition sweep at level k (`superpos_sweep`, core/superpos.hpp)
+/// and adds the epsilon/error-capacity contract of [8]. Its certified
+/// fixed-point demand with an exact-rational refresh decides
+/// realistic-period sets without overflowing to `degraded`, and
+/// `base.iterations` counts test-list entries — one per (task, job
+/// deadline) pair walked — as superpos_test does.
 #pragma once
 
 #include "analysis/types.hpp"
@@ -23,7 +27,8 @@ struct ChakrabortyResult {
   /// epsilon actually used (1/k after rounding k up).
   double epsilon = 0.0;
   /// max over tested intervals of dbf'(I)/I — the processor speed at
-  /// which the demand provably fits. <= 1 iff accepted.
+  /// which the demand provably fits (best effort, in doubles). <= 1 on
+  /// acceptance, > 1 on a rejection that is not `degraded`; U when U > 1.
   double demand_ratio = 0.0;
 };
 

@@ -1,5 +1,6 @@
 #include "core/superpos.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -10,17 +11,19 @@
 
 namespace edfkit {
 
-FeasibilityResult superpos_test(const TaskSet& ts, Time level) {
+SuperPosSweep superpos_sweep(const TaskSet& ts, Time level) {
   if (level < 1) throw std::invalid_argument("superpos_test: level < 1");
-  FeasibilityResult r;
+  SuperPosSweep out;
+  FeasibilityResult& r = out.base;
   if (ts.empty()) {
     r.verdict = Verdict::Feasible;
-    return r;
+    return out;
   }
   if (utilization_exceeds_one(ts)) {
     r.verdict = Verdict::Infeasible;
     r.iterations = 1;
-    return r;
+    out.demand_ratio = ts.utilization_double();
+    return out;
   }
 
   const TaskColumns cols(ts.tasks());
@@ -48,11 +51,13 @@ FeasibilityResult superpos_test(const TaskSet& ts, Time level) {
 
     const Ordering cmp =
         acc.compare_with_refresh(ts, approximated, point, &r.degraded);
+    out.demand_ratio = std::max(
+        out.demand_ratio, acc.demand_estimate() / static_cast<double>(point));
     if (cmp == Ordering::Greater) {
       // Approximated demand exceeds capacity (or cannot be proven not
       // to): the sufficient test rejects.
       r.verdict = Verdict::Unknown;
-      return r;
+      return out;
     }
 
     // Border = deadline of job #level; at or past it, approximate.
@@ -68,7 +73,11 @@ FeasibilityResult superpos_test(const TaskSet& ts, Time level) {
   // All tasks approximated and every change point passed; with U <= 1 the
   // linear tail can never cross the capacity line (Lemma 1).
   r.verdict = Verdict::Feasible;
-  return r;
+  return out;
+}
+
+FeasibilityResult superpos_test(const TaskSet& ts, Time level) {
+  return superpos_sweep(ts, level).base;
 }
 
 }  // namespace edfkit

@@ -9,13 +9,26 @@
 /// (which, with U <= 1, covers all intervals; Lemmas 1/3/4).
 ///
 /// SuperPos(1) is provably equivalent to Devi's test (Lemma 2) — the
-/// cross-validation suite asserts this on random workloads.
+/// cross-validation suite asserts this on random workloads. SuperPos(k)
+/// is Chakraborty's epsilon-test at epsilon = 1/k, and
+/// `chakraborty_test` runs this same sweep.
 #pragma once
 
 #include "analysis/types.hpp"
 #include "model/task_set.hpp"
 
 namespace edfkit {
+
+/// One SuperPos(level) sweep: the verdict and the largest dbf'(I)/I met
+/// at a tested point (best effort, from the accumulator's upper bound;
+/// U on the U > 1 precheck). `iterations` counts test-list entries.
+struct SuperPosSweep {
+  FeasibilityResult base;
+  double demand_ratio = 0.0;
+};
+
+/// \pre level >= 1
+[[nodiscard]] SuperPosSweep superpos_sweep(const TaskSet& ts, Time level);
 
 /// Run SuperPos(level). Sufficient: Feasible on acceptance, Infeasible
 /// only via the exact U > 1 precheck, Unknown on rejection.

@@ -80,11 +80,13 @@ TEST(IncrementalDemand, UtilizationClassificationMatchesOffline) {
 
 TEST(IncrementalDemand, BudgetZeroMatchesChakraborty) {
   // With no refinement budget the scan's verdict semantics equal the
-  // epsilon-approximate test at level k on the same set.
+  // epsilon-approximate test at level k on the same set — on coarse
+  // periods and on the paper's tick-resolution Fig. 8 ones.
   Rng rng(42);
-  for (int trial = 0; trial < 40; ++trial) {
-    const double u = 0.6 + 0.01 * (trial % 40);
-    const TaskSet ts = draw_small_set(rng, u);
+  for (int trial = 0; trial < 80; ++trial) {
+    const TaskSet ts =
+        trial < 40 ? draw_small_set(rng, 0.6 + 0.01 * trial)
+                   : draw_fig8_set(rng, 0.9 + 0.0025 * (trial - 40));
     for (const double eps : {1.0, 0.5, 0.25, 0.1}) {
       IncrementalDemand d(eps);
       for (const Task& t : ts) d.add(t);

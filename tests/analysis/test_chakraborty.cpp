@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "../helpers.hpp"
 #include "analysis/processor_demand.hpp"
+#include "core/superpos.hpp"
 #include "util/random.hpp"
 
 namespace edfkit {
@@ -43,6 +46,48 @@ TEST(Chakraborty, UtilizationOverload) {
   const ChakrabortyResult r =
       chakraborty_test(set_of({tk(9, 8, 8)}), 0.25);
   EXPECT_EQ(r.base.verdict, Verdict::Infeasible);
+}
+
+/// The epsilon-test is SuperPos(ceil(1/epsilon)) on the shared sweep:
+/// same verdict, effort and reach, on coarse periods and on the paper's
+/// tick-resolution ones alike.
+TEST(Chakraborty, RunsTheSuperpositionSweepAtLevelK) {
+  Rng rng(3);
+  for (int i = 0; i < 80; ++i) {
+    const TaskSet ts = i % 2 == 0 ? draw_small_set(rng, rng.uniform(0.5, 1.0))
+                                  : draw_fig8_set(rng, rng.uniform(0.9, 0.99));
+    for (const double eps : {1.0, 0.5, 0.25, 0.1}) {
+      const ChakrabortyResult c = chakraborty_test(ts, eps);
+      const FeasibilityResult s =
+          superpos_test(ts, static_cast<Time>(std::ceil(1.0 / eps)));
+      EXPECT_EQ(c.base.verdict, s.verdict) << "eps=" << eps << "\n"
+                                           << ts.to_string();
+      EXPECT_EQ(c.base.iterations, s.iterations) << "eps=" << eps;
+      EXPECT_EQ(c.base.max_interval_tested, s.max_interval_tested)
+          << "eps=" << eps;
+    }
+  }
+}
+
+/// Realistic periods (Fig. 8: 5-100 tasks, periods 1e4-1e6, U 0.90-0.99)
+/// are decided without degrading, and every acceptance is exact-feasible.
+TEST(Chakraborty, DecidesPaperSetsWithoutDegrading) {
+  Rng rng(1);
+  int accepted = 0;
+  for (int i = 0; i < 200; ++i) {
+    const TaskSet ts = draw_fig8_set(rng, rng.uniform(0.9, 0.99));
+    const ChakrabortyResult r = chakraborty_test(ts, 0.25);
+    EXPECT_FALSE(r.base.degraded) << ts.to_string();
+    if (r.base.feasible()) {
+      ++accepted;
+      EXPECT_LE(r.demand_ratio, 1.0);
+      EXPECT_EQ(processor_demand_test(ts).verdict, Verdict::Feasible)
+          << ts.to_string();
+    } else {
+      EXPECT_GT(r.demand_ratio, 1.0);
+    }
+  }
+  EXPECT_GT(accepted, 0);
 }
 
 /// Soundness + monotonicity: acceptance implies exact feasibility and a

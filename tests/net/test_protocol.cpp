@@ -359,6 +359,13 @@ TEST(Codec, RandomRequestRoundTripFuzz) {
         break;
       case NetOp::Stats:
       case NetOp::Ping:
+      // The draw above covers client ops 1-7 only; the replication ops
+      // have their own round-trip tests.
+      case NetOp::ReplHello:
+      case NetOp::ReplAppend:
+      case NetOp::ReplAck:
+      case NetOp::ReplSnapshot:
+      case NetOp::Promote:
         break;
     }
 
