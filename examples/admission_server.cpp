@@ -1,5 +1,5 @@
 /// \file admission_server.cpp
-/// The admission engine as a real network service: a net::Server epoll
+/// The admission controller as a real network service: a net::Server epoll
 /// event loop serving the binary wire protocol (net/protocol.hpp) to
 /// remote clients, multi-tenant, with per-tenant durability and
 /// load-shedding backpressure.

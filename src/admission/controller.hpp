@@ -39,7 +39,8 @@
 /// carries a MultiprocessorCertificate (query/certificate.hpp) built
 /// over the widened set while it is still materialized.
 ///
-/// Not thread-safe; AdmissionEngine provides sharding + locking.
+/// Not thread-safe. Partitioned EDF is one controller per processor,
+/// tried in placement_order (admission/placement.hpp).
 #pragma once
 
 #include <array>
@@ -236,10 +237,9 @@ class AdmissionController {
     return demand_.resident();
   }
 
-  /// Wait-free epoch-consistent snapshot of the demand store's
-  /// aggregates — safe to call concurrently with the one mutating
-  /// thread (the engine's wait-free stats path reads this without the
-  /// shard mutex).
+  /// Aggregate snapshot of the demand store (counts, utilization,
+  /// certificate ratio) — what the wire STATS reply and load shedding
+  /// read.
   [[nodiscard]] StoreHeader demand_header() const noexcept {
     return demand_.header();
   }

@@ -1,7 +1,6 @@
 #include "admission/incremental_dbf.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -134,15 +133,10 @@ IncrementalDemand::IncrementalDemand(double epsilon, bool eager_compaction)
     : eager_compact_(eager_compaction),
       engage_at_(kIndexOnResidents),
       disengage_below_(kIndexOffResidents) {
-  if (!(epsilon > 0.0) || epsilon > 1.0) {
-    throw std::invalid_argument(
-        "IncrementalDemand: epsilon in (0,1] required");
-  }
-  k_ = static_cast<Time>(std::ceil(1.0 / epsilon));
+  k_ = approx_level(epsilon, "IncrementalDemand");
   segs_.emplace_back();  // one segment covering [0, infinity)
   cert_x_.fill(0);
   cert_region_.fill(kS);  // the empty set is fully slack everywhere
-  publish_header();
 }
 
 void IncrementalDemand::set_index_thresholds(std::size_t engage_at,
@@ -660,7 +654,7 @@ void IncrementalDemand::undo_refinements(const RefineLog& log) {
     cert_lo_ = -1;
     cert_dead_ = true;
   }
-  publish_header();
+  ++epoch_;
 }
 
 void IncrementalDemand::ensure_util() const {
@@ -693,7 +687,7 @@ TaskId IncrementalDemand::add_one(const Task& t, bool adjust_slack) {
 
 TaskId IncrementalDemand::add(const Task& t) {
   const TaskId id = add_one(t, /*adjust_slack=*/true);
-  publish_header();
+  ++epoch_;
   return id;
 }
 
@@ -707,7 +701,7 @@ void IncrementalDemand::add_group(std::span<const Task> group,
   // One batched slack pass for the whole group (identical per-task
   // arithmetic, one walk of segment traffic).
   if (index_engaged_) slack_adjust(group, +1);
-  publish_header();
+  ++epoch_;
 }
 
 std::size_t IncrementalDemand::id_pos(TaskId id) const noexcept {
@@ -758,7 +752,7 @@ bool IncrementalDemand::remove_one(TaskId id, bool adjust_slack,
 
 bool IncrementalDemand::remove(TaskId id) {
   if (!remove_one(id, /*adjust_slack=*/true, nullptr)) return false;
-  publish_header();
+  ++epoch_;
   return true;
 }
 
@@ -771,7 +765,7 @@ std::size_t IncrementalDemand::remove_group(std::span<const TaskId> ids) {
   }
   if (gone != 0) {
     if (index_engaged_) slack_adjust(withdrawn, -1);
-    publish_header();
+    ++epoch_;
   }
   return gone;
 }
@@ -903,35 +897,17 @@ Rational IncrementalDemand::exact_demand_at(Time interval) const {
   return total;
 }
 
-void IncrementalDemand::publish_header() noexcept {
-  // The protocol (odd-epoch, fences, lap check) lives in
-  // util/seqlock.hpp; this only fills the named buffer.
-  header_epoch_.publish([&](std::size_t idx) {
-    HeaderSlot& h = header_buf_[idx];
-    h.residents.store(view_.size(), std::memory_order_relaxed);
-    h.constrained.store(constrained_, std::memory_order_relaxed);
-    h.live.store(total_steps_, std::memory_order_relaxed);
-    h.dead.store(dead_steps_, std::memory_order_relaxed);
-    h.segments.store(segs_.size(), std::memory_order_relaxed);
-    h.utilization.store(utilization_double(), std::memory_order_relaxed);
-    h.cert_ratio.store(
-        cert_lo_ < 0 ? -1.0 : static_cast<double>(cert_lo_) * kInvS,
-        std::memory_order_relaxed);
-  });
-}
-
 StoreHeader IncrementalDemand::header() const noexcept {
   StoreHeader out;
-  out.epoch = header_epoch_.read([&](std::size_t idx) {
-    const HeaderSlot& h = header_buf_[idx];
-    out.residents = h.residents.load(std::memory_order_relaxed);
-    out.constrained = h.constrained.load(std::memory_order_relaxed);
-    out.live_checkpoints = h.live.load(std::memory_order_relaxed);
-    out.dead_checkpoints = h.dead.load(std::memory_order_relaxed);
-    out.segments = h.segments.load(std::memory_order_relaxed);
-    out.utilization = h.utilization.load(std::memory_order_relaxed);
-    out.cert_ratio = h.cert_ratio.load(std::memory_order_relaxed);
-  });
+  out.epoch = epoch_;
+  out.residents = view_.size();
+  out.constrained = constrained_;
+  out.live_checkpoints = total_steps_;
+  out.dead_checkpoints = dead_steps_;
+  out.segments = segs_.size();
+  out.utilization = utilization_double();
+  out.cert_ratio =
+      cert_lo_ < 0 ? -1.0 : static_cast<double>(cert_lo_) * kInvS;
   return out;
 }
 
@@ -949,7 +925,7 @@ DemandCheck IncrementalDemand::check(std::uint64_t max_revisions,
   if (refine_log != nullptr) refine_logged_.assign(view_.size(), 0);
   const DemandCheck out = do_check(max_revisions);
   refine_log_ = nullptr;
-  publish_header();
+  ++epoch_;
   return out;
 }
 
@@ -1275,7 +1251,7 @@ void IncrementalDemand::rebuild() {
   for (std::size_t row = 0; row < rows.size(); ++row) {
     apply_entries(rows[row], levels_[row], +1);
   }
-  publish_header();
+  ++epoch_;
 }
 
 bool IncrementalDemand::matches_rebuild() const {

@@ -94,17 +94,6 @@
 /// pre-index behavior. set_index_thresholds(SIZE_MAX, SIZE_MAX) keeps
 /// the index disengaged for good (the bench baseline).
 ///
-/// Epoch-versioned store header (the lock-free read path): mutators
-/// publish a small aggregate header (resident/checkpoint counts,
-/// utilization, certificate ratio) into a double-buffered pair of
-/// atomic slots under a seqlock epoch (odd while a publication is
-/// between its stores). `header()` reads the slot the epoch names and
-/// re-checks the epoch: a reader overlapping one whole publication
-/// still returns without re-copying (that publication fills the
-/// *other* slot); it only spins across the writer's brief store window
-/// or when lapped mid-copy — and never blocks the writer. This is what
-/// lets AdmissionEngine::stats() run without taking shard mutexes.
-///
 /// Residents live in a TaskView (demand/task_view.hpp): densely packed
 /// structure-of-arrays rows behind stable slots, so the refinement loop
 /// and the O(n) aggregates stream flat arrays instead of walking a
@@ -113,7 +102,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -123,7 +111,6 @@
 #include "model/task_set.hpp"
 #include "util/fixedpoint.hpp"
 #include "util/rational.hpp"
-#include "util/seqlock.hpp"
 
 namespace edfkit {
 
@@ -160,10 +147,9 @@ struct DemandCheck {
   std::uint64_t segments_fast_forwarded = 0;
 };
 
-/// Wait-free aggregate snapshot of the store (see header()). All fields
-/// come from one epoch-consistent publication.
+/// Aggregate snapshot of the store (see header()).
 struct StoreHeader {
-  std::uint64_t epoch = 0;            ///< publication count
+  std::uint64_t epoch = 0;            ///< mutations so far (per process)
   std::uint64_t residents = 0;
   std::uint64_t constrained = 0;
   std::uint64_t live_checkpoints = 0;
@@ -174,12 +160,12 @@ struct StoreHeader {
 };
 
 /// Mutable task multiset + approximated demand checkpoints.
-/// Not thread-safe for mutation; AdmissionEngine shards and locks
-/// around it. header() alone is safe to call concurrently with one
-/// mutator (the wait-free read path).
+/// Not thread-safe.
 class IncrementalDemand {
  public:
-  /// \pre 0 < epsilon <= 1. Initial steps per task: k = ceil(1/epsilon).
+  /// Initial steps per task: k = ceil(1/epsilon). \throws
+  /// std::invalid_argument unless k <= kMaxApproxLevel and
+  /// 0 < epsilon <= 1 (approx_level, demand/approx.hpp).
   /// The cached-slack index engages adaptively by resident count (see
   /// file header and set_index_thresholds). `eager_compaction` erases
   /// emptied checkpoints on every removal instead of tombstoning them:
@@ -200,9 +186,8 @@ class IncrementalDemand {
   /// Insert a whole group, appending the new ids to `ids` in group
   /// order. Equivalent to add() per task but amortizes the per-update
   /// overhead across the group: one cached-slack maintenance pass over
-  /// the segments (instead of one per task) and one header
-  /// publication. \throws std::invalid_argument (validate()) before
-  /// any mutation.
+  /// the segments (instead of one per task). \throws
+  /// std::invalid_argument (validate()) before any mutation.
   void add_group(std::span<const Task> group, std::vector<TaskId>& ids);
   /// Withdraw a group of resident ids (unknown ids are skipped), with
   /// the same amortization as add_group — the group-admission rollback
@@ -323,8 +308,8 @@ class IncrementalDemand {
   /// raises the approximated demand), which the next scan re-measures.
   void undo_refinements(const RefineLog& log);
 
-  /// Wait-free epoch-consistent aggregate snapshot; safe to call
-  /// concurrently with one mutating thread (see file header).
+  /// The aggregates (resident/checkpoint counts, utilization,
+  /// certificate ratio) as of the last mutation.
   [[nodiscard]] StoreHeader header() const noexcept;
 
   /// Exact (integer) demand bound function of the resident set at one
@@ -412,19 +397,6 @@ class IncrementalDemand {
     std::size_t dead_borders = 0;      ///< tombstones inside borders
   };
 
-  /// One buffer of the double-buffered published header. Plain atomics
-  /// so concurrent reads are data-race-free; the epoch protocol makes
-  /// them *consistent* (see header()).
-  struct HeaderSlot {
-    std::atomic<std::uint64_t> residents{0};
-    std::atomic<std::uint64_t> constrained{0};
-    std::atomic<std::uint64_t> live{0};
-    std::atomic<std::uint64_t> dead{0};
-    std::atomic<std::uint64_t> segments{0};
-    std::atomic<double> utilization{0.0};
-    std::atomic<double> cert_ratio{-1.0};
-  };
-
   /// Add/withdraw the step corners of jobs [from_level, to_level) of t.
   void apply_corners(const Task& t, Time from_level, Time to_level,
                      int sign);
@@ -435,9 +407,9 @@ class IncrementalDemand {
   /// slack_adjust afterwards.
   void apply_entries(const Task& t, Time level, int sign,
                      bool adjust_slack = true);
-  /// add() body minus slack maintenance and header publication.
+  /// add() body minus slack maintenance and the epoch bump.
   TaskId add_one(const Task& t, bool adjust_slack);
-  /// remove() body minus slack maintenance and header publication; the
+  /// remove() body minus slack maintenance and the epoch bump; the
   /// withdrawn task is appended to `withdrawn` (for the batched slack
   /// credit). \returns false for unknown ids.
   bool remove_one(TaskId id, bool adjust_slack,
@@ -479,9 +451,6 @@ class IncrementalDemand {
   /// disengage, dirty every cached bound (nothing maintains them while
   /// off).
   void update_index_engagement();
-  /// Publish the current aggregates into the inactive header buffer and
-  /// advance the epoch (every mutator's last step).
-  void publish_header() noexcept;
   [[nodiscard]] DemandCheck do_check(std::uint64_t max_revisions);
 
   Time k_;
@@ -547,10 +516,8 @@ class IncrementalDemand {
   std::size_t constrained_ = 0;
   /// Deferred-compaction pass count (see compactions()).
   std::uint64_t compactions_ = 0;
-  /// Double-buffered published header + seqlock epoch (see header()
-  /// and util/seqlock.hpp for the protocol).
-  std::array<HeaderSlot, 2> header_buf_;
-  SeqlockEpoch header_epoch_;
+  /// Mutation count reported as StoreHeader::epoch (not serialized).
+  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace edfkit

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "demand/approx.hpp"
 #include "persist/format.hpp"
 #include "query/options.hpp"
 
@@ -301,8 +302,9 @@ struct SnapshotCodec {
   static void decode_demand(IncrementalDemand& d, ByteReader& r,
                             std::uint32_t version) {
     d.k_ = r.i64();
-    if (d.k_ < 1) {
-      throw PersistError(PersistErrc::BadValue, "k < 1");
+    if (d.k_ < 1 || d.k_ > kMaxApproxLevel) {
+      throw PersistError(PersistErrc::BadValue,
+                         "k outside [1, kMaxApproxLevel]");
     }
     // v2 stored the retired index switch and compaction policy. Index
     // off becomes never-engage thresholds (the same disengaged store);
@@ -427,7 +429,6 @@ struct SnapshotCodec {
     d.refine_logged_.clear();
     d.util_ = Rational{};
     d.util_valid_ = false;
-    d.publish_header();
   }
 
   static void encode_controller(const AdmissionController& c,
@@ -532,7 +533,6 @@ struct SnapshotCodec {
     d.cert_lo_ = kFixedPointScale;
     d.cert_dead_ = false;
     d.constrained_ = 0;
-    d.publish_header();
   }
 
   static void reset_controller(AdmissionController& c) {

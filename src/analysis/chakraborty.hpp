@@ -32,7 +32,8 @@ struct ChakrabortyResult {
   double demand_ratio = 0.0;
 };
 
-/// Run the epsilon-approximate test. \pre 0 < epsilon <= 1
+/// Run the epsilon-approximate test. \throws std::invalid_argument
+/// unless 1/kMaxApproxLevel <= epsilon <= 1 (demand/approx.hpp).
 [[nodiscard]] ChakrabortyResult chakraborty_test(const TaskSet& ts,
                                                  double epsilon);
 

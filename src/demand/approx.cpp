@@ -1,10 +1,25 @@
 #include "demand/approx.hpp"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "demand/dbf.hpp"
 
 namespace edfkit {
+
+Time approx_level(double epsilon, const char* who) {
+  // Bound k in floating point, before the cast: ceil(1/epsilon) for a
+  // tiny epsilon is far beyond Time's range.
+  const double k = std::ceil(1.0 / epsilon);
+  if (!(epsilon > 0.0) || epsilon > 1.0 ||
+      !(k <= static_cast<double>(kMaxApproxLevel))) {
+    throw std::invalid_argument(
+        std::string(who) + ": epsilon in [1/" +
+        std::to_string(kMaxApproxLevel) + ", 1] required");
+  }
+  return static_cast<Time>(k);
+}
 
 Time approx_border(const Task& t, Time level) noexcept {
   // level jobs tested exactly; border = deadline of job #level (1-based).

@@ -19,6 +19,17 @@
 
 namespace edfkit {
 
+/// Ceiling on the approximation level k = ceil(1/epsilon), the number
+/// of jobs per task tested exactly. Far above any level in use
+/// (epsilon = 0.1 is k = 10); it keeps k, and the 4k refinement
+/// ceiling of the admission store, clear of overflow.
+inline constexpr Time kMaxApproxLevel = 1'000'000;
+
+/// The level k = ceil(1/epsilon) of an epsilon-approximation.
+/// \throws std::invalid_argument (naming `who`) unless 0 < epsilon <= 1
+/// and k <= kMaxApproxLevel.
+[[nodiscard]] Time approx_level(double epsilon, const char* who);
+
 /// Deadline of the level-th job (level >= 1): Im = (level-1)*T + D.
 /// This is the task's "Testboarder" at a given superposition level.
 [[nodiscard]] Time approx_border(const Task& t, Time level) noexcept;

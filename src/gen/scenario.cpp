@@ -63,7 +63,7 @@ TaskSet draw_small_set(Rng& rng, double utilization) {
     const Time d_raw = round_to_time(
         (1.0 - gap) * static_cast<double>(t.period), 1, t.period);
     t.deadline = std::clamp(d_raw, t.wcet, t.period);
-    t.name = "s" + std::to_string(i);
+    t.name = 's' + std::to_string(i);
     tasks.push_back(std::move(t));
   }
   return TaskSet(std::move(tasks));

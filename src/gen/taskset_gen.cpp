@@ -85,7 +85,7 @@ TaskSet generate_task_set(Rng& rng, const GeneratorConfig& cfg) {
       const Time d_raw = round_to_time(
           (1.0 - gap) * static_cast<double>(t.period), 1, t.period);
       t.deadline = std::clamp(d_raw, t.wcet, t.period);
-      t.name = "t" + std::to_string(i);
+      t.name = 't' + std::to_string(i);
       if (!t.valid()) {
         ok = false;
         break;

@@ -74,7 +74,7 @@ void write_task_set(std::ostream& out, const TaskSet& ts) {
       << ts.utilization_double() << "\n";
   std::size_t i = 0;
   for (const Task& t : ts) {
-    out << "task " << (t.name.empty() ? "t" + std::to_string(i) : t.name)
+    out << "task " << (t.name.empty() ? 't' + std::to_string(i) : t.name)
         << " " << t.wcet << " " << t.deadline << " ";
     if (is_time_infinite(t.period)) {
       out << "inf";

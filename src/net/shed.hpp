@@ -9,8 +9,8 @@
 ///     the only expensive work on the loop; a deep queue means arrival
 ///     rate is outrunning decision throughput and latency is about to
 ///     compound.
-///   * the tenant's StoreHeader — the wait-free epoch-consistent
-///     aggregate snapshot (admission/incremental_dbf.hpp header()):
+///   * the tenant's StoreHeader — the store's O(1) aggregate
+///     snapshot (admission/incremental_dbf.hpp header()):
 ///     resident count and the certified utilization upper bound. Past
 ///     a configured headroom the ladder would almost certainly run its
 ///     expensive rungs just to reject; shedding there converts a slow

@@ -115,7 +115,8 @@ class TraceRing {
   std::atomic<std::uint64_t> head_{0};
 };
 
-/// One TraceRing per engine shard, plus whole-recorder capture/dump.
+/// One TraceRing per shard (a controller attaches to one by index), plus
+/// whole-recorder capture/dump.
 class FlightRecorder {
  public:
   FlightRecorder() = default;

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "demand/approx.hpp"
 #include "query/registry.hpp"
 
 namespace edfkit {
@@ -81,8 +82,13 @@ void validate_params(TestKind kind, const BackendParams& params) {
   if (const auto* sp = std::get_if<SuperPosParams>(&params)) {
     if (sp->level < 1) reject(kind, "superpos level must be >= 1");
   } else if (const auto* ck = std::get_if<ChakrabortyParams>(&params)) {
-    if (!(ck->epsilon > 0.0) || !(ck->epsilon < 1.0)) {
-      reject(kind, "epsilon must lie in (0, 1), got " +
+    // The floor keeps k = ceil(1/epsilon) within kMaxApproxLevel, which
+    // chakraborty_test would otherwise refuse mid-run (on a portfolio
+    // thread, where an exception ends the process).
+    if (!(ck->epsilon >= 1.0 / static_cast<double>(kMaxApproxLevel)) ||
+        !(ck->epsilon < 1.0)) {
+      reject(kind, "epsilon must lie in [1/" +
+                       std::to_string(kMaxApproxLevel) + ", 1), got " +
                        std::to_string(ck->epsilon));
     }
   } else if (const auto* dy = std::get_if<DynamicTestOptions>(&params)) {

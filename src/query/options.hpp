@@ -4,7 +4,7 @@
 /// Every backend owns a small parameter struct; a query carries one
 /// `BackendParams` variant per selected backend and `validate_params`
 /// rejects out-of-range knobs at the API boundary — epsilon outside
-/// (0,1), superposition levels < 1 — with a descriptive
+/// [1/kMaxApproxLevel, 1), superposition levels < 1 — with a descriptive
 /// `std::invalid_argument` instead of a degenerate scan.
 #pragma once
 
@@ -96,7 +96,8 @@ using BackendParams =
 
 /// Boundary validation: throws std::invalid_argument with a precise
 /// message when `params` is the wrong alternative for `kind` or any knob
-/// is out of range (epsilon outside (0,1), level < 1, zero growth, ...).
+/// is out of range (epsilon outside [1/kMaxApproxLevel, 1), level < 1,
+/// zero growth, ...).
 void validate_params(TestKind kind, const BackendParams& params);
 
 /// Per-query resource limits, applied to every selected backend that

@@ -150,8 +150,8 @@ class Query {
 
   /// Boundary validation (also run by run()): throws std::invalid_argument
   /// on an empty selection, on out-of-range parameters (epsilon outside
-  /// (0,1), superpos level < 1, ...), or on a Single policy with an
-  /// unsupported/ambiguous selection.
+  /// [1/kMaxApproxLevel, 1), superpos level < 1, ...), or on a Single
+  /// policy with an unsupported/ambiguous selection.
   void validate() const;
 
   /// Execute against `w`. \throws std::invalid_argument on validation

@@ -53,10 +53,11 @@ enum class TestKind : int {
 /// Platform capability flags: which execution platforms a backend's
 /// verdict applies to. `uniprocessor_only` tests answer for m == 1;
 /// `global` tests answer for global EDF on any m; `partitioned` marks
-/// uniprocessor tests the sharded AdmissionEngine may run per shard
-/// (shards *are* uniprocessors, so today the two uniprocessor flags
-/// travel together — the split exists so a future per-shard-unsafe
-/// backend can opt out of engine use).
+/// uniprocessor tests that may run per processor under partitioned
+/// placement (admission/placement.hpp; each processor *is* a
+/// uniprocessor, so today the two uniprocessor flags travel together —
+/// the split exists so a future per-processor-unsafe backend can opt
+/// out).
 enum PlatformCap : std::uint8_t {
   kPlatformUniprocessor = 1u << 0,
   kPlatformGlobal = 1u << 1,

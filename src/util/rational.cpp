@@ -198,7 +198,7 @@ Time Rational::ceil() const {
 }
 
 std::string Rational::to_string() const {
-  if (!exact_) return "~" + std::to_string(approx_);
+  if (!exact_) return '~' + std::to_string(approx_);
   if (den_ == 1) return int128_to_string(num_);
   return int128_to_string(num_) + "/" + int128_to_string(den_);
 }

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "analysis/chakraborty.hpp"
+#include "demand/approx.hpp"
 #include "demand/dbf.hpp"
 #include "helpers.hpp"
 #include "query/query.hpp"
@@ -200,6 +202,13 @@ TEST(IncrementalDemand, OneShotTasksAreSingleCorners) {
 TEST(IncrementalDemand, InvalidEpsilonAndTasksThrow) {
   EXPECT_THROW(IncrementalDemand(0.0), std::invalid_argument);
   EXPECT_THROW(IncrementalDemand(1.5), std::invalid_argument);
+  // k = ceil(1/epsilon) is capped at kMaxApproxLevel (4k must not
+  // overflow); one step below the floor is refused.
+  const double floor = 1.0 / static_cast<double>(kMaxApproxLevel);
+  EXPECT_EQ(IncrementalDemand(floor).steps_per_task(), kMaxApproxLevel);
+  EXPECT_THROW(IncrementalDemand(std::nextafter(floor, 0.0)),
+               std::invalid_argument);
+  EXPECT_THROW(IncrementalDemand(1e-300), std::invalid_argument);
   IncrementalDemand d(0.25);
   Task bad = tk(0, 4, 8);  // C must be > 0
   EXPECT_THROW(d.add(bad), std::invalid_argument);

@@ -7,6 +7,7 @@
 #include "../helpers.hpp"
 #include "analysis/processor_demand.hpp"
 #include "core/superpos.hpp"
+#include "demand/approx.hpp"
 #include "util/random.hpp"
 
 namespace edfkit {
@@ -20,6 +21,13 @@ TEST(Chakraborty, EpsilonValidation) {
   EXPECT_THROW((void)chakraborty_test(ts, 0.0), std::invalid_argument);
   EXPECT_THROW((void)chakraborty_test(ts, 1.5), std::invalid_argument);
   EXPECT_NO_THROW((void)chakraborty_test(ts, 1.0));
+  // The level ceiling: k = ceil(1/epsilon) <= kMaxApproxLevel. One step
+  // below the floor, and far below it, are refused before any cast.
+  const double floor = 1.0 / static_cast<double>(kMaxApproxLevel);
+  EXPECT_DOUBLE_EQ(chakraborty_test(ts, floor).epsilon, floor);
+  EXPECT_THROW((void)chakraborty_test(ts, std::nextafter(floor, 0.0)),
+               std::invalid_argument);
+  EXPECT_THROW((void)chakraborty_test(ts, 1e-300), std::invalid_argument);
 }
 
 TEST(Chakraborty, EpsilonRoundsToReciprocalInteger) {

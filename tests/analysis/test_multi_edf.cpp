@@ -14,12 +14,12 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "../helpers.hpp"
 #include "admission/controller.hpp"
-#include "admission/engine.hpp"
+#include "admission/placement.hpp"
 #include "query/certificate.hpp"
 #include "query/query.hpp"
 #include "sim/oracle.hpp"
@@ -157,34 +157,47 @@ TEST(GlobalOracleFuzz, NoSufficientTestContradictsTheSimulation) {
 // each admits a workload the other rejects.
 // ---------------------------------------------------------------------------
 
+/// Partitioned first-fit on `cpus`: the processor that admitted `t`, or
+/// UINT32_MAX when none did.
+std::pair<std::uint32_t, TaskId> place_first_fit(
+    std::vector<AdmissionController>& cpus, const Task& t) {
+  for (const std::uint32_t i : placement_order(
+           PlacementPolicy::FirstFit, cpus, t.utilization_double())) {
+    const AdmissionDecision d = cpus[i].try_admit(t);
+    if (d.admitted) return {i, d.id};
+  }
+  return {UINT32_MAX, kInvalidTaskId};
+}
+
 TEST(GlobalAdmission, GlobalAdmitsWhatFragmentedPartitionsReject) {
-  // Churn fragmentation: two heavy tasks fill two shards, a light task
-  // lands beside each; removing the heavies strands 0.1 utilization on
-  // each shard. A re-arriving {heavy, light, light} group then fits on
-  // no single shard (0.1 + 1.1 > 1) — but the global view of the same
-  // two processors schedules it: lights run [0, 2) on both processors,
-  // the heavy takes the remaining 18 ticks of its window.
+  // Churn fragmentation: two heavy tasks fill two processors, a light
+  // task lands beside each; removing the heavies strands 0.1
+  // utilization on each. A re-arriving {heavy, light, light} group then
+  // fits on no single processor (0.1 + 1.1 > 1) — but the global view
+  // of the same two processors schedules it: lights run [0, 2) on both
+  // processors, the heavy takes the remaining 18 ticks of its window.
   const Task heavy = tk(18, 20, 20);
   const Task light = tk(2, 20, 20);
 
-  EngineOptions eo;
-  eo.shards = 2;
-  AdmissionEngine engine(eo);
-  const PlacementDecision h1 = engine.admit(heavy);
-  const PlacementDecision h2 = engine.admit(heavy);
-  const PlacementDecision l1 = engine.admit(light);
-  const PlacementDecision l2 = engine.admit(light);
-  ASSERT_TRUE(h1.admitted);
-  ASSERT_TRUE(h2.admitted);
-  ASSERT_TRUE(l1.admitted);
-  ASSERT_TRUE(l2.admitted);
-  ASSERT_NE(h1.id.shard, h2.id.shard);  // the heavies cannot share a shard
-  ASSERT_TRUE(engine.remove(h1.id));
-  ASSERT_TRUE(engine.remove(h2.id));
+  std::vector<AdmissionController> cpus(2);
+  const auto [h1, h1_id] = place_first_fit(cpus, heavy);
+  const auto [h2, h2_id] = place_first_fit(cpus, heavy);
+  ASSERT_NE(h1, UINT32_MAX);
+  ASSERT_NE(h2, UINT32_MAX);
+  ASSERT_NE(place_first_fit(cpus, light).first, UINT32_MAX);
+  ASSERT_NE(place_first_fit(cpus, light).first, UINT32_MAX);
+  ASSERT_NE(h1, h2);  // the heavies cannot share a processor
+  ASSERT_TRUE(cpus[h1].remove(h1_id));
+  ASSERT_TRUE(cpus[h2].remove(h2_id));
 
   const std::vector<Task> group = {heavy, light, light};
-  const GroupPlacement gp = engine.admit_group(group);
-  EXPECT_FALSE(gp.admitted);  // no shard holds U = 1.2
+  const double group_util = heavy.utilization_double() +
+                            2 * light.utilization_double();
+  for (const std::uint32_t i :
+       placement_order(PlacementPolicy::FirstFit, cpus, group_util)) {
+    EXPECT_FALSE(cpus[i].admit_group(group).admitted)
+        << "processor " << i;  // no processor holds U = 1.2
+  }
 
   // The global controller sees the same arrival history against the
   // same two processors and admits the group.
@@ -214,7 +227,7 @@ TEST(GlobalAdmission, GlobalAdmitsWhatFragmentedPartitionsReject) {
 TEST(GlobalAdmission, PartitionedAdmitsWhatGlobalRejects) {
   // The Dhall effect: under global EDF the two light tasks preempt both
   // processors together, starving the heavy task (24 < 25 by t = 30).
-  // Partitioned placement isolates the heavy task on its own shard.
+  // Partitioned placement isolates the heavy task on its own processor.
   const Task light = tk(1, 5, 5);
   const Task heavy = tk(25, 30, 30);
 
@@ -232,25 +245,17 @@ TEST(GlobalAdmission, PartitionedAdmitsWhatGlobalRejects) {
   }
   EXPECT_EQ(global.resident().size(), 2u);  // rollback left the set intact
 
-  EngineOptions eo;
-  eo.shards = 2;
-  AdmissionEngine engine(eo);
-  ASSERT_TRUE(engine.admit(light).admitted);
-  ASSERT_TRUE(engine.admit(light).admitted);
-  EXPECT_TRUE(engine.admit(heavy).admitted);
+  std::vector<AdmissionController> cpus(2);
+  ASSERT_NE(place_first_fit(cpus, light).first, UINT32_MAX);
+  ASSERT_NE(place_first_fit(cpus, light).first, UINT32_MAX);
+  EXPECT_NE(place_first_fit(cpus, heavy).first, UINT32_MAX);
 }
 
-TEST(GlobalAdmission, EngineRefusesPlatformAdmitsOnOneController) {
-  // Engine shards are uniprocessors: an m-processor platform is refused,
-  // not silently folded into one shard.
-  EngineOptions eo;
-  eo.shards = 4;
-  eo.admission.platform = Platform{4};
-  EXPECT_THROW(AdmissionEngine{eo}, std::invalid_argument);
-
-  // Global admission is one controller on Platform{4}. Density
-  // 1.8 <= 4 - 3 * 0.6: GFB admits all three, where a 4-shard
-  // partitioned engine would have spread them out.
+TEST(GlobalAdmission, OneControllerAdmitsOnPlatform) {
+  // Global admission is one controller on Platform{4} (placement refuses
+  // such a controller: tests/admission/test_placement.cpp). Density
+  // 1.8 <= 4 - 3 * 0.6: GFB admits all three, where 4-processor
+  // partitioned placement would have spread them out.
   AdmissionOptions ao;
   ao.platform = Platform{4};
   ao.return_certificate = true;

@@ -20,6 +20,7 @@
 
 #include "admission/replay.hpp"
 #include "admission/snapshot.hpp"
+#include "demand/approx.hpp"
 #include "helpers.hpp"
 #include "persist/format.hpp"
 
@@ -320,7 +321,8 @@ TEST(Snapshot, CrashOpsResumeTransparently) {
 /// and the 8-byte decision sequence, then the demand store's k (8) and
 /// index-engagement flag (1), its two engagement thresholds, the next
 /// id, and the resident row count.
-constexpr std::size_t kEngageAtOffset = 35 + 80 + 8 + 8 + 1;
+constexpr std::size_t kLevelOffset = 35 + 80 + 8;
+constexpr std::size_t kEngageAtOffset = kLevelOffset + 8 + 1;
 constexpr std::size_t kDisengageBelowOffset = kEngageAtOffset + 8;
 constexpr std::size_t kRowCountOffset = kDisengageBelowOffset + 16;
 
@@ -405,6 +407,28 @@ TEST(Snapshot, OversizedCountsAreTypedErrorsNotAllocations) {
     ADD_FAILURE() << "oversized group record accepted";
   } catch (const persist::PersistError& e) {
     EXPECT_EQ(e.code(), persist::PersistErrc::BadValue);
+  }
+}
+
+TEST(Snapshot, ApproxLevelAboveCeilingIsBadValue) {
+  AdmissionController ctl(fuzz_options());
+  Stepper s{&ctl, {}};
+  for (const TraceEvent& ev : fuzz_trace(5, 60)) (void)s.step(ev);
+  const std::vector<std::uint8_t> good = encode_snapshot(ctl);
+  {
+    std::vector<std::uint8_t> probe = good;
+    ASSERT_EQ(patch_controller_u64(probe, kLevelOffset, 0),
+              static_cast<std::uint64_t>(
+                  approx_level(ctl.options().epsilon, "probe")));
+  }
+  // A CRC-valid snapshot cannot smuggle in a level the constructor would
+  // refuse (4k would overflow near 2^62).
+  for (const std::uint64_t k :
+       {std::uint64_t{1} << 62,
+        static_cast<std::uint64_t>(kMaxApproxLevel) + 1}) {
+    std::vector<std::uint8_t> bad = good;
+    (void)patch_controller_u64(bad, kLevelOffset, k);
+    expect_bad_value(std::move(bad), "approximation level");
   }
 }
 

@@ -25,7 +25,7 @@ TEST(CrossPaths, LadderAgreesWithAdmissionLadderPreview) {
   int idx = 0;
   for (const double u : {0.7, 0.97}) {
     for (const TaskSet& ts : small_random_sets(8, u, /*seed=*/99)) {
-      if (!ts.empty()) entries.push_back({"s" + std::to_string(idx++), ts});
+      if (!ts.empty()) entries.push_back({'s' + std::to_string(idx++), ts});
     }
   }
 

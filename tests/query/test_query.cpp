@@ -32,6 +32,14 @@ TEST(QueryValidation, RejectsEpsilonOutsideUnitInterval) {
   EXPECT_NO_THROW((void)Query::single(TestKind::Chakraborty,
                                       ChakrabortyParams{0.5})
                       .run(demo_set()));
+  // Below the level ceiling's floor: refused at validation, before any
+  // backend (or portfolio thread) runs.
+  for (const double eps : {1e-9, 1e-300}) {
+    EXPECT_THROW(Query::single(TestKind::Chakraborty, ChakrabortyParams{eps})
+                     .validate(),
+                 std::invalid_argument)
+        << eps;
+  }
 }
 
 TEST(QueryValidation, RejectsSuperposLevelBelowOne) {
