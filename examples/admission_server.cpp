@@ -60,6 +60,7 @@
 #include <string>
 #include <utility>
 
+#include "demand/approx.hpp"
 #include "fault/fault.hpp"
 #include "net/server.hpp"
 #include "obs/obs.hpp"
@@ -144,6 +145,10 @@ int main(int argc, char** argv) {
     opts.tenants.checkpoint_every =
         static_cast<std::size_t>(flags.get_int("checkpoint-every", 4096));
     opts.tenants.admission.epsilon = flags.get_double("epsilon", 0.1);
+    // Every HELLO would refuse an out-of-range epsilon; refuse it here,
+    // before listening, with the accepted range.
+    (void)approx_level(opts.tenants.admission.epsilon,
+                       "admission_server --epsilon");
     opts.tenants.admission.skip_exact = flags.get_bool("skip-exact", false);
 
     opts.shed.max_pending =

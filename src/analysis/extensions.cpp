@@ -119,10 +119,9 @@ FeasibilityResult srp_blocking_test(const TaskSet& ts,
   while (!list.empty()) {
     const Time point = list.peek().interval;
     while (!list.empty() && list.peek().interval == point) {
-      const auto e = list.pop();
-      demand = add_saturating(demand, ts[e.task].wcet);
-      const Time nxt = ts[e.task].next_deadline_after(point);
-      if (nxt <= bound && !is_time_infinite(nxt)) list.add(e.task, nxt);
+      const std::size_t task = list.peek().task;
+      demand = add_saturating(demand, ts[task].wcet);
+      list.rearm_top(ts[task].period, bound);
     }
     ++r.iterations;
     r.max_interval_tested = point;

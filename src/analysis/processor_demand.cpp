@@ -41,12 +41,12 @@ FeasibilityResult processor_demand_test(const TaskSet& ts,
       return r;
     }
     const Time point = list.peek().interval;
-    // Drain every job deadline at this point.
+    // Drain every job deadline at this point, re-arming each task at
+    // its next one in place.
     while (!list.empty() && list.peek().interval == point) {
-      const auto e = list.pop();
-      demand = add_saturating(demand, cols.wcet[e.task]);
-      const Time nxt = row_next_deadline_after(cols, e.task, point);
-      if (nxt <= bound && !is_time_infinite(nxt)) list.add(e.task, nxt);
+      const std::size_t task = list.peek().task;
+      demand = add_saturating(demand, cols.wcet[task]);
+      list.rearm_top(cols.period[task], bound);
     }
     ++r.iterations;
     r.max_interval_tested = point;

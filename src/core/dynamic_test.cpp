@@ -65,7 +65,9 @@ FeasibilityResult dynamic_error_test(const TaskSet& ts,
       r.final_level = level;
       return r;
     }
-    const auto entry = list.pop();
+    // The entry stays on top until the post-step: revisions below only
+    // add deadlines strictly after `point`.
+    const auto entry = list.peek();
     const Time point = entry.interval;
     acc.advance(point - iold);
     acc.add_job(cols.wcet[entry.task]);
@@ -124,13 +126,14 @@ FeasibilityResult dynamic_error_test(const TaskSet& ts,
     }
 
     // Post-step (paper: "IF Iact < Testboarder(tau)"): keep testing the
-    // popped task exactly below its border, approximate at/after it.
+    // popped task exactly below its border, re-armed in place at its next
+    // deadline; approximate at/after it.
     {
       const std::size_t ti = entry.task;
       if (point < row_approx_border(cols, ti, level)) {
-        const Time nxt = row_next_deadline_after(cols, ti, point);
-        if (!is_time_infinite(nxt)) list.add(ti, nxt);
+        list.rearm_top(cols.period[ti]);
       } else {
+        list.pop();
         acc.approximate(ts[ti]);
         approximated[ti] = true;
         approx_members.push_back(ti);

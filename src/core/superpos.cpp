@@ -42,7 +42,7 @@ SuperPosSweep superpos_sweep(const TaskSet& ts, Time level) {
   // demand only grows within an interval. The per-job reads (wcet,
   // border, next deadline) come from the flat columns.
   while (!list.empty()) {
-    const auto e = list.pop();
+    const auto e = list.peek();
     const Time point = e.interval;
     acc.advance(point - iold);  // no-op for entries at the same interval
     acc.add_job(cols.wcet[e.task]);
@@ -61,10 +61,11 @@ SuperPosSweep superpos_sweep(const TaskSet& ts, Time level) {
     }
 
     // Border = deadline of job #level; at or past it, approximate.
+    // Below it, re-arm the task in place at its next deadline.
     if (point < row_approx_border(cols, e.task, level)) {
-      const Time nxt = row_next_deadline_after(cols, e.task, point);
-      if (!is_time_infinite(nxt)) list.add(e.task, nxt);
+      list.rearm_top(cols.period[e.task]);
     } else {
+      list.pop();
       acc.approximate(ts[e.task]);
       approximated[e.task] = true;
     }

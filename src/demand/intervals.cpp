@@ -11,17 +11,9 @@ DeadlineStream::DeadlineStream(const TaskSet& ts, Time bound)
 }
 
 Time DeadlineStream::next() {
-  const auto first = list_.pop();
-  Time point = first.interval;
-  // Re-arm the popped task and drain duplicates at the same point.
-  auto rearm = [this](std::size_t task, Time at) {
-    const Time nxt = ts_[task].next_deadline_after(at);
-    if (nxt <= bound_ && !is_time_infinite(nxt)) list_.add(task, nxt);
-  };
-  rearm(first.task, point);
+  const Time point = list_.peek().interval;
   while (!list_.empty() && list_.peek().interval == point) {
-    const auto dup = list_.pop();
-    rearm(dup.task, point);
+    list_.rearm_top(ts_[list_.peek().task].period, bound_);
   }
   return point;
 }

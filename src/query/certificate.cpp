@@ -71,10 +71,11 @@ CertificateCheck verify_borders(const TaskSet& ts, const Certificate& c,
   while (!list.empty()) {
     const Time point = list.peek().interval;
     while (!list.empty() && list.peek().interval == point) {
-      const auto e = list.pop();
-      if (point < c.borders[e.task]) {
-        const Time nxt = ts[e.task].next_deadline_after(point);
-        if (!is_time_infinite(nxt)) list.add(e.task, nxt);
+      const std::size_t task = list.peek().task;
+      if (point < c.borders[task]) {
+        list.rearm_top(ts[task].period);
+      } else {
+        list.pop();
       }
     }
     if (++out.points_checked > max_points) {
@@ -138,10 +139,9 @@ CertificateCheck verify_exhaustive(const TaskSet& ts, const Certificate& c,
   while (!list.empty()) {
     const Time point = list.peek().interval;
     while (!list.empty() && list.peek().interval == point) {
-      const auto e = list.pop();
-      demand = add_saturating(demand, ts[e.task].wcet);
-      const Time nxt = ts[e.task].next_deadline_after(point);
-      if (nxt <= horizon && !is_time_infinite(nxt)) list.add(e.task, nxt);
+      const std::size_t task = list.peek().task;
+      demand = add_saturating(demand, ts[task].wcet);
+      list.rearm_top(ts[task].period, horizon);
     }
     if (++out.points_checked > max_points) {
       return rejected("certificate exceeds the verification point cap");

@@ -6,19 +6,29 @@
 /// (including add_saturating overflow edges), and an IncrementalDemand
 /// with the slack index enabled must decide exactly like one without
 /// it on identical churn sequences — U -> 1 saturation and
-/// removal-credit churn included.
+/// removal-credit churn included. Golden digests pin every offline
+/// deadline sweep's results bit for bit.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "admission/incremental_dbf.hpp"
+#include "analysis/chakraborty.hpp"
+#include "analysis/devi.hpp"
+#include "analysis/extensions.hpp"
 #include "analysis/processor_demand.hpp"
 #include "analysis/qpa.hpp"
+#include "core/all_approx.hpp"
+#include "core/dynamic_test.hpp"
 #include "core/superpos.hpp"
 #include "demand/dbf.hpp"
 #include "demand/task_view.hpp"
 #include "gen/scenario.hpp"
 #include "helpers.hpp"
+#include "query/certificate.hpp"
 
 namespace edfkit {
 namespace {
@@ -69,6 +79,39 @@ TEST(KernelEquivalence, ColumnsSaturateExactlyLikeDbf) {
   // saturation boundary too.
   const Time below = columns_max_deadline_below(cols, kTimeInfinity);
   EXPECT_GE(below, huge + 10);
+}
+
+TEST(KernelEquivalence, RearmAtJobDeadlineMatchesNextDeadlineAfter) {
+  // The deadline sweeps re-arm a task at its own job deadline `point`
+  // by point + T instead of Lemma 5's division. The two must agree at
+  // every job deadline, including one-shots and periods so large that
+  // the sum saturates at kTimeInfinity.
+  TaskSet ts;
+  ts.add(tk(3, 7, kTimeInfinity));                      // one-shot
+  ts.add(tk(1, 5, std::numeric_limits<Time>::max()));   // beyond infinity
+  ts.add(tk(1, 5, kTimeInfinity - 1));                  // 5 + T saturates
+  ts.add(tk(1, kTimeInfinity / 2, kTimeInfinity / 2));  // 2nd job saturates
+  ts.add(tk(2, 10, kTimeInfinity / 3));                 // 3T + 10 saturates
+  Task jittered = tk(2, 9, 13);
+  jittered.jitter = 4;
+  ts.add(jittered);
+  Rng rng(20050318);
+  for (int s = 0; s < 40; ++s) {
+    for (const Task& t : draw_small_set(rng, 0.4 + 0.015 * s)) ts.add(t);
+  }
+  const TaskColumns cols(ts.tasks());
+  for (std::size_t r = 0; r < cols.size(); ++r) {
+    Time point = cols.deadline[r];
+    for (int job = 0; job < 200; ++job) {
+      const Time rearmed = add_saturating(point, cols.period[r]);
+      ASSERT_EQ(rearmed, row_next_deadline_after(cols, r, point))
+          << "row " << r << " at " << point;
+      ASSERT_EQ(rearmed, ts[r].next_deadline_after(point));
+      if (is_time_infinite(rearmed)) break;
+      ASSERT_EQ(rearmed, ts[r].job_deadline(job + 1));
+      point = rearmed;
+    }
+  }
 }
 
 TEST(KernelEquivalence, TaskViewSlotsSurviveChurn) {
@@ -133,6 +176,119 @@ TEST(KernelEquivalence, RewiredBackendsMatchBruteForceOverflow) {
     if (sp.feasible()) {
       ASSERT_TRUE(pd.feasible()) << ts.to_string();
     }
+  }
+}
+
+// ------------------------------------------------ golden sweep digests
+
+/// 64-bit FNV-1a over the little-endian bytes of every folded value.
+struct Digest {
+  std::uint64_t h = 14695981039346656037ull;
+
+  void fold(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  void fold_time(Time t) { fold(static_cast<std::uint64_t>(t)); }
+  void fold(const FeasibilityResult& r) {
+    fold(static_cast<std::uint64_t>(r.verdict));
+    fold(r.iterations);
+    fold(r.revisions);
+    fold_time(r.max_interval_tested);
+    fold_time(r.witness);
+    fold_time(r.final_level);
+    fold(r.degraded ? 1 : 0);
+    fold(r.cancelled ? 1 : 0);
+  }
+};
+
+enum Sweep : std::size_t {
+  kProcessorDemand,
+  kQpa,
+  kDynamic,
+  kAllApprox,
+  kDevi,
+  kChakraborty,
+  kSuperposition,
+  kSrpBlocking,
+  kCertificate,
+  kSweepCount,
+};
+
+/// Seeded Fig. 8 sets (U 0.90 ... 0.99) and small sets (U 0.50 ... 1.09).
+std::vector<TaskSet> golden_pool() {
+  std::vector<TaskSet> pool;
+  Rng rng(20050318);
+  for (int i = 0; i < 200; ++i) {
+    pool.push_back(draw_fig8_set(rng, 0.90 + 0.01 * (i % 10)));
+  }
+  for (int i = 0; i < 600; ++i) {
+    pool.push_back(draw_small_set(rng, 0.50 + 0.001 * i));
+  }
+  return pool;
+}
+
+/// One digest per backend over every FeasibilityResult field of every
+/// set; the certificate digest folds the borders and the checker's
+/// replay (validity and points checked).
+std::array<std::uint64_t, kSweepCount> sweep_digests(
+    const std::vector<TaskSet>& pool) {
+  std::array<Digest, kSweepCount> d;
+  for (const TaskSet& ts : pool) {
+    d[kProcessorDemand].fold(processor_demand_test(ts));
+    d[kQpa].fold(qpa_test(ts));
+    d[kDynamic].fold(dynamic_error_test(ts));
+    d[kAllApprox].fold(all_approx_test(ts));
+    d[kDevi].fold(devi_test(ts));
+    for (const double eps : {0.1, 0.02}) {
+      d[kChakraborty].fold(chakraborty_test(ts, eps).base);
+    }
+    for (const Time level : {Time{1}, Time{2}, Time{5}}) {
+      d[kSuperposition].fold(superpos_test(ts, level));
+    }
+    std::vector<Time> critical;
+    for (const Task& t : ts) critical.push_back(t.wcet / 2);
+    d[kSrpBlocking].fold(srp_blocking_test(ts, critical));
+
+    const auto cert = build_feasibility_certificate(ts);
+    d[kCertificate].fold(cert.has_value() ? 1 : 0);
+    if (cert) {
+      d[kCertificate].fold(static_cast<std::uint64_t>(cert->kind));
+      d[kCertificate].fold_time(cert->bound);
+      d[kCertificate].fold(cert->borders.size());
+      for (const Time b : cert->borders) d[kCertificate].fold_time(b);
+      const CertificateCheck check = verify(ts, *cert);
+      d[kCertificate].fold(check.valid ? 1 : 0);
+      d[kCertificate].fold(check.points_checked);
+    }
+  }
+  std::array<std::uint64_t, kSweepCount> out{};
+  for (std::size_t i = 0; i < kSweepCount; ++i) out[i] = d[i].h;
+  return out;
+}
+
+TEST(KernelEquivalence, SweepDigestsMatchGolden) {
+  // Recorded from the std::priority_queue test list with the
+  // pop-then-add re-arm by Lemma 5's division. The pop sequence is fixed
+  // by the strict (interval, task) order, so verdicts, effort counters,
+  // witnesses and certificate borders must reproduce bit for bit.
+  const std::array<std::uint64_t, kSweepCount> golden = {
+      0x046e712266de0bdaull,  // processor-demand
+      0x859438d6f136ea68ull,  // qpa
+      0x24401659461a3f26ull,  // dynamic
+      0x4f1b70db600aa428ull,  // all-approx
+      0xfc4d8ced6b3d2315ull,  // devi
+      0x7e9cb5d02422858cull,  // chakraborty
+      0xa082569a719dac9aull,  // superposition
+      0x5c4cae261fa51674ull,  // srp blocking
+      0xccc8df40d6a1e251ull,  // feasibility certificate
+  };
+  const auto got = sweep_digests(golden_pool());
+  for (std::size_t i = 0; i < kSweepCount; ++i) {
+    EXPECT_EQ(got[i], golden[i]) << "sweep " << i << " digest 0x"
+                                 << std::hex << got[i];
   }
 }
 
