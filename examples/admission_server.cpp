@@ -94,6 +94,29 @@ std::atomic<bool> g_promote{false};
 
 void on_sigusr2(int) { g_promote.store(true, std::memory_order_relaxed); }
 
+/// An integer flag that must lie in [lo, hi]: anything outside is
+/// refused (exit 2) before the server listens, instead of wrapping in
+/// the cast to the option's unsigned type.
+/// \throws std::runtime_error naming the flag and the accepted range.
+std::int64_t int_flag(const CliFlags& flags, const std::string& name,
+                      std::int64_t fallback, std::int64_t lo,
+                      std::int64_t hi) {
+  const std::int64_t v = flags.get_int(name, fallback);
+  if (v < lo || v > hi) {
+    throw std::runtime_error("--" + name + " in [" + std::to_string(lo) +
+                             ", " + std::to_string(hi) + "] required, got " +
+                             std::to_string(v));
+  }
+  return v;
+}
+
+/// Upper bounds for the sized and timed flags: far above any use, low
+/// enough that nothing downstream overflows (ms intervals become ns).
+constexpr std::int64_t kMaxCount = std::int64_t{1} << 30;
+constexpr std::int64_t kMaxIntervalMs = 86'400'000;  // one day
+/// The flight recorder allocates its ring up front, ~100 bytes a slot.
+constexpr std::int64_t kMaxTraceCapacity = std::int64_t{1} << 20;
+
 /// Split "host:port" (last colon wins, so bare IPv4/hostnames only).
 /// \throws std::runtime_error on a malformed spec.
 std::pair<std::string, std::uint16_t> parse_host_port(
@@ -132,18 +155,20 @@ int main(int argc, char** argv) {
 
     net::ServerOptions opts;
     opts.bind_address = flags.get("bind", "127.0.0.1");
-    opts.port = static_cast<std::uint16_t>(flags.get_int("port", 7433));
-    opts.max_connections =
-        static_cast<std::size_t>(flags.get_int("max-connections", 256));
-    opts.idle_timeout_ms =
-        static_cast<std::uint64_t>(flags.get_int("idle-timeout-ms", 0));
-    opts.max_fuse = static_cast<std::size_t>(flags.get_int("max-fuse", 64));
+    opts.port =
+        static_cast<std::uint16_t>(int_flag(flags, "port", 7433, 0, 65535));
+    opts.max_connections = static_cast<std::size_t>(
+        int_flag(flags, "max-connections", 256, 1, kMaxCount));
+    opts.idle_timeout_ms = static_cast<std::uint64_t>(
+        int_flag(flags, "idle-timeout-ms", 0, 0, kMaxIntervalMs));
+    opts.max_fuse = static_cast<std::size_t>(
+        int_flag(flags, "max-fuse", 64, 1, kMaxCount));
     opts.reprobe_interval_ms = static_cast<std::uint64_t>(
-        flags.get_int("reprobe-interval-ms", 200));
+        int_flag(flags, "reprobe-interval-ms", 200, 0, kMaxIntervalMs));
 
     opts.tenants.data_dir = flags.get("data-dir", "");
-    opts.tenants.checkpoint_every =
-        static_cast<std::size_t>(flags.get_int("checkpoint-every", 4096));
+    opts.tenants.checkpoint_every = static_cast<std::size_t>(
+        int_flag(flags, "checkpoint-every", 4096, 0, kMaxCount));
     opts.tenants.admission.epsilon = flags.get_double("epsilon", 0.1);
     // Every HELLO would refuse an out-of-range epsilon; refuse it here,
     // before listening, with the accepted range.
@@ -151,17 +176,17 @@ int main(int argc, char** argv) {
                        "admission_server --epsilon");
     opts.tenants.admission.skip_exact = flags.get_bool("skip-exact", false);
 
-    opts.shed.max_pending =
-        static_cast<std::size_t>(flags.get_int("max-pending", 1024));
-    opts.shed.max_residents =
-        static_cast<std::size_t>(flags.get_int("max-residents", 0));
+    opts.shed.max_pending = static_cast<std::size_t>(
+        int_flag(flags, "max-pending", 1024, 0, kMaxCount));
+    opts.shed.max_residents = static_cast<std::size_t>(
+        int_flag(flags, "max-residents", 0, 0, kMaxCount));
     opts.shed.utilization_headroom = flags.get_double("util-headroom", 1.0);
-    opts.shed.retry_after_ms =
-        static_cast<std::uint32_t>(flags.get_int("retry-after-ms", 50));
+    opts.shed.retry_after_ms = static_cast<std::uint32_t>(
+        int_flag(flags, "retry-after-ms", 50, 0, kMaxIntervalMs));
 
     opts.tenants.standby = flags.get_bool("standby", false);
     opts.digest_interval_ms = static_cast<std::uint64_t>(
-        flags.get_int("digest-interval-ms", 250));
+        int_flag(flags, "digest-interval-ms", 250, 0, kMaxIntervalMs));
     const std::string replicate_to = flags.get("replicate-to", "");
     const bool promote_on_signal =
         flags.get_bool("promote-on-signal", false);
@@ -169,8 +194,8 @@ int main(int argc, char** argv) {
     const bool metrics_dump = flags.get_bool("metrics-dump", false);
     const std::string trace_out = flags.get("trace-out", "");
     obs::ObsConfig ocfg;
-    ocfg.trace_capacity =
-        static_cast<std::size_t>(flags.get_int("trace-capacity", 512));
+    ocfg.trace_capacity = static_cast<std::size_t>(
+        int_flag(flags, "trace-capacity", 512, 0, kMaxTraceCapacity));
 
     obs::Obs obs(ocfg, /*shards=*/1);
     // Chaos harnesses arm failpoints through the environment; a

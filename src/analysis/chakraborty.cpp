@@ -5,10 +5,14 @@
 
 namespace edfkit {
 
-ChakrabortyResult chakraborty_test(const TaskSet& ts, double epsilon) {
+ChakrabortyResult chakraborty_test(const PreparedSet& ps, double epsilon) {
   const Time k = approx_level(epsilon, "chakraborty_test");
-  const SuperPosSweep s = superpos_sweep(ts, k);
+  const SuperPosSweep s = superpos_sweep(ps, k);
   return {s.base, 1.0 / static_cast<double>(k), s.demand_ratio};
+}
+
+ChakrabortyResult chakraborty_test(const TaskSet& ts, double epsilon) {
+  return chakraborty_test(PreparedSet(ts), epsilon);
 }
 
 }  // namespace edfkit

@@ -17,6 +17,7 @@
 /// deadline) pair walked — as superpos_test does.
 #pragma once
 
+#include "analysis/prepared.hpp"
 #include "analysis/types.hpp"
 #include "model/task_set.hpp"
 
@@ -34,6 +35,8 @@ struct ChakrabortyResult {
 
 /// Run the epsilon-approximate test. \throws std::invalid_argument
 /// unless 1/kMaxApproxLevel <= epsilon <= 1 (demand/approx.hpp).
+[[nodiscard]] ChakrabortyResult chakraborty_test(const PreparedSet& ps,
+                                                 double epsilon);
 [[nodiscard]] ChakrabortyResult chakraborty_test(const TaskSet& ts,
                                                  double epsilon);
 

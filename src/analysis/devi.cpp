@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <span>
 
-#include "analysis/utilization.hpp"
 #include "util/fixedpoint.hpp"
 
 namespace edfkit {
@@ -31,13 +30,14 @@ Ordering devi_condition_exact(const TaskSet& ts,
 
 }  // namespace
 
-FeasibilityResult devi_test(const TaskSet& ts) {
+FeasibilityResult devi_test(const PreparedSet& ps) {
   FeasibilityResult r;
+  const TaskSet& ts = ps.tasks();
   if (ts.empty()) {
     r.verdict = Verdict::Feasible;
     return r;
   }
-  if (utilization_exceeds_one(ts)) {
+  if (ps.utilization_exceeds_one()) {
     r.verdict = Verdict::Infeasible;
     r.iterations = 1;
     return r;
@@ -49,6 +49,7 @@ FeasibilityResult devi_test(const TaskSet& ts) {
   ScaledPair a;
   ScaledPair b;
   const auto& order = ts.by_deadline();
+  const std::span<const ScaledPair> utils = ps.task_utils();
   for (std::size_t k = 0; k < order.size(); ++k) {
     const Task& t = ts[order[k]];
     const Time d = t.effective_deadline();
@@ -56,7 +57,7 @@ FeasibilityResult devi_test(const TaskSet& ts) {
       // One-shot: utilization 0, envelope offset C (gap/T -> 1).
       b += scale_integer(t.wcet);
     } else {
-      a += scale_fraction(t.wcet, t.period);
+      a += utils[order[k]];
       const Time gap = t.period - std::min(t.period, d);
       if (gap > 0) {
         b += scale_fraction(static_cast<Int128>(gap) * t.wcet, t.period);
@@ -87,6 +88,10 @@ FeasibilityResult devi_test(const TaskSet& ts) {
   }
   r.verdict = Verdict::Feasible;
   return r;
+}
+
+FeasibilityResult devi_test(const TaskSet& ts) {
+  return devi_test(PreparedSet(ts));
 }
 
 }  // namespace edfkit

@@ -13,6 +13,7 @@
 /// by D_k), so no floating-point acceptance errors are possible.
 #pragma once
 
+#include "analysis/prepared.hpp"
 #include "analysis/types.hpp"
 #include "model/task_set.hpp"
 
@@ -21,6 +22,7 @@ namespace edfkit {
 /// Run Devi's test. Verdicts: Feasible (accepted), Infeasible only via
 /// the exact U > 1 precheck, otherwise Unknown (the test is sufficient —
 /// rejection proves nothing).
+[[nodiscard]] FeasibilityResult devi_test(const PreparedSet& ps);
 [[nodiscard]] FeasibilityResult devi_test(const TaskSet& ts);
 
 }  // namespace edfkit

@@ -3,31 +3,33 @@
 #include <algorithm>
 
 #include "analysis/bounds.hpp"
-#include "analysis/utilization.hpp"
 #include "demand/intervals.hpp"
 #include "demand/task_view.hpp"
 
 namespace edfkit {
 
-FeasibilityResult processor_demand_test(const TaskSet& ts,
+FeasibilityResult processor_demand_test(const PreparedSet& ps,
                                         const ProcessorDemandOptions& opts) {
   FeasibilityResult r;
-  if (ts.empty()) {
+  if (ps.empty()) {
     r.verdict = Verdict::Feasible;
     return r;
   }
-  if (utilization_exceeds_one(ts)) {
+  if (ps.utilization_exceeds_one()) {
     r.verdict = Verdict::Infeasible;
     return r;
   }
-  const Time bound =
-      opts.bound.value_or(default_test_bound(ts, opts.use_busy_period));
+  // The busy-period bound is opt-in, so it is not a prepared fact.
+  const Time bound = opts.bound ? *opts.bound
+                     : opts.use_busy_period
+                         ? default_test_bound(ps.tasks(), true)
+                         : ps.default_test_bound();
 
   // Walk all job deadlines <= bound in ascending order, accumulating the
   // demand incrementally: every popped (task, deadline) adds one job's C.
   // The heap carries row indices into the flat columns so the inner loop
   // reads dense wcet/deadline/period arrays, not one Task struct per job.
-  const TaskColumns cols(ts.tasks());
+  const TaskColumns& cols = ps.columns();
   TestList list;
   for (std::size_t i = 0; i < cols.size(); ++i) {
     const Time d0 = cols.deadline[i];
@@ -62,6 +64,11 @@ FeasibilityResult processor_demand_test(const TaskSet& ts,
   }
   r.verdict = Verdict::Feasible;
   return r;
+}
+
+FeasibilityResult processor_demand_test(const TaskSet& ts,
+                                        const ProcessorDemandOptions& opts) {
+  return processor_demand_test(PreparedSet(ts), opts);
 }
 
 }  // namespace edfkit

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <optional>
 
+#include "analysis/prepared.hpp"
 #include "analysis/types.hpp"
 #include "model/task_set.hpp"
 
@@ -35,6 +36,8 @@ struct ProcessorDemandOptions {
 
 /// Run the processor-demand test. Verdicts Feasible/Infeasible are exact;
 /// Unknown only occurs when max_iterations was hit.
+[[nodiscard]] FeasibilityResult processor_demand_test(
+    const PreparedSet& ps, const ProcessorDemandOptions& opts = {});
 [[nodiscard]] FeasibilityResult processor_demand_test(
     const TaskSet& ts, const ProcessorDemandOptions& opts = {});
 

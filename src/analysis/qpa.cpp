@@ -2,29 +2,28 @@
 
 #include <algorithm>
 
-#include "analysis/bounds.hpp"
-#include "analysis/utilization.hpp"
 #include "demand/task_view.hpp"
 
 namespace edfkit {
 
-FeasibilityResult qpa_test(const TaskSet& ts, const std::atomic<bool>* stop) {
+FeasibilityResult qpa_test(const PreparedSet& ps,
+                           const std::atomic<bool>* stop) {
   FeasibilityResult r;
-  if (ts.empty()) {
+  if (ps.empty()) {
     r.verdict = Verdict::Feasible;
     return r;
   }
-  if (utilization_exceeds_one(ts)) {
+  if (ps.utilization_exceeds_one()) {
     r.verdict = Verdict::Infeasible;
     return r;
   }
-  const Time bound = default_test_bound(ts);
-  const Time dmin = ts.min_deadline();
+  const Time bound = ps.default_test_bound();
+  const Time dmin = ps.tasks().min_deadline();
 
   // Each loop step is two dense passes over the flat columns (one dbf
   // evaluation, one predecessor-deadline scan) instead of Task-struct
   // walks.
-  const TaskColumns cols(ts.tasks());
+  const TaskColumns& cols = ps.columns();
   Time t = columns_max_deadline_below(cols, add_saturating(bound, 1));
   if (t < 0) {
     // No deadline inside the bound: nothing can overflow.
@@ -51,6 +50,10 @@ FeasibilityResult qpa_test(const TaskSet& ts, const std::atomic<bool>* stop) {
   }
   r.verdict = Verdict::Feasible;
   return r;
+}
+
+FeasibilityResult qpa_test(const TaskSet& ts, const std::atomic<bool>* stop) {
+  return qpa_test(PreparedSet(ts), stop);
 }
 
 }  // namespace edfkit

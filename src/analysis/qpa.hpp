@@ -19,6 +19,7 @@
 
 #include <atomic>
 
+#include "analysis/prepared.hpp"
 #include "analysis/types.hpp"
 #include "model/task_set.hpp"
 
@@ -27,6 +28,8 @@ namespace edfkit {
 /// Exact EDF feasibility via QPA. Requires U <= 1 precheck like PDA.
 /// `stop` is a cooperative cancellation token (checked once per loop
 /// step); when observed the test returns Unknown with `cancelled` set.
+[[nodiscard]] FeasibilityResult qpa_test(
+    const PreparedSet& ps, const std::atomic<bool>* stop = nullptr);
 [[nodiscard]] FeasibilityResult qpa_test(
     const TaskSet& ts, const std::atomic<bool>* stop = nullptr);
 

@@ -1,5 +1,7 @@
 #include "analysis/utilization.hpp"
 
+#include "analysis/prepared.hpp"
+
 namespace edfkit {
 namespace {
 
@@ -55,18 +57,18 @@ bool utilization_exceeds_one(const TaskSet& ts) {
   return classify_utilization(ts) == UtilizationClass::AboveOne;
 }
 
-FeasibilityResult liu_layland_test(const TaskSet& ts) {
+FeasibilityResult liu_layland_test(const PreparedSet& ps) {
   FeasibilityResult r;
   r.iterations = 1;
-  if (utilization_exceeds_one(ts)) {
+  const UtilizationClass uc = ps.utilization_class();
+  if (uc == UtilizationClass::AboveOne) {
     r.verdict = Verdict::Infeasible;
     return r;
   }
-  const bool le1 = utilization_at_most_one(ts, &r.degraded);
-  if (!le1) {
-    r.verdict = Verdict::Infeasible;
-    return r;
-  }
+  // Marginal: U <= 1 is the caller-safe assumption (see
+  // utilization_at_most_one), flagged degraded.
+  r.degraded = uc == UtilizationClass::Marginal;
+  const TaskSet& ts = ps.tasks();
   // EDF is optimal [12]: U <= 1 is sufficient when every deadline is at
   // least the period (demand never exceeds the implicit-deadline case).
   const bool all_at_least_period = [&] {
@@ -78,6 +80,10 @@ FeasibilityResult liu_layland_test(const TaskSet& ts) {
   r.verdict =
       all_at_least_period ? Verdict::Feasible : Verdict::Unknown;
   return r;
+}
+
+FeasibilityResult liu_layland_test(const TaskSet& ts) {
+  return liu_layland_test(PreparedSet(ts));
 }
 
 }  // namespace edfkit

@@ -17,6 +17,8 @@
 
 namespace edfkit {
 
+class PreparedSet;  // analysis/prepared.hpp
+
 /// Fixed-point scale shared by the certified fallbacks (also used by the
 /// bound computations in analysis/bounds.cpp).
 inline constexpr Int128 kUtilizationScale = static_cast<Int128>(1) << 62;
@@ -51,6 +53,7 @@ enum class UtilizationClass : std::uint8_t {
 /// Exact utilization test. For implicit deadlines (and D >= T) the
 /// verdict is exact; for constrained deadlines it returns Infeasible when
 /// U > 1 and Unknown otherwise (the condition is then only necessary).
+[[nodiscard]] FeasibilityResult liu_layland_test(const PreparedSet& ps);
 [[nodiscard]] FeasibilityResult liu_layland_test(const TaskSet& ts);
 
 }  // namespace edfkit

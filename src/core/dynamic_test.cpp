@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "analysis/bounds.hpp"
-#include "analysis/utilization.hpp"
 #include "demand/accumulator.hpp"
 #include "demand/intervals.hpp"
 #include "demand/task_view.hpp"
@@ -19,7 +17,7 @@ Time grown(Time level, Time factor) {
 
 }  // namespace
 
-FeasibilityResult dynamic_error_test(const TaskSet& ts,
+FeasibilityResult dynamic_error_test(const PreparedSet& ps,
                                      const DynamicTestOptions& opts) {
   if (opts.initial_level < 1)
     throw std::invalid_argument("dynamic_error_test: initial_level < 1");
@@ -27,28 +25,30 @@ FeasibilityResult dynamic_error_test(const TaskSet& ts,
     throw std::invalid_argument("dynamic_error_test: growth_factor < 1");
 
   FeasibilityResult r;
-  if (ts.empty()) {
+  if (ps.empty()) {
     r.verdict = Verdict::Feasible;
     return r;
   }
-  if (utilization_exceeds_one(ts)) {
+  if (ps.utilization_exceeds_one()) {
     r.verdict = Verdict::Infeasible;
     r.iterations = 1;
     return r;
   }
 
-  const Time imax = opts.bound.value_or(implicit_test_bound(ts));
+  const Time imax = opts.bound ? *opts.bound : ps.implicit_test_bound();
   Time level = opts.initial_level;
 
   // The revision loops below only read wcet / effective deadline /
-  // period — stream them from flat columns instead of re-indexing the
-  // 80-byte Task structs every iteration (ROADMAP: "SoA the
-  // accumulator tests"). The accumulator's refresh stages keep the
-  // TaskSet (cold path).
-  const TaskColumns cols(ts);
+  // period — stream them from the prepared flat columns instead of
+  // re-indexing the 80-byte Task structs every iteration. The
+  // accumulator's refresh stages keep the TaskSet (cold path).
+  const TaskSet& ts = ps.tasks();
+  const TaskColumns& cols = ps.columns();
+  const std::span<const ScaledPair> utils = ps.task_utils();
   TestList list;
   std::vector<bool> approximated(ts.size(), false);
   std::vector<std::size_t> approx_members;  // tasks currently approximated
+  std::vector<std::size_t> revised;  // withdrawn by one level growth
   for (std::size_t i = 0; i < ts.size(); ++i) {
     list.add(i, cols.deadline[i]);
   }
@@ -98,7 +98,7 @@ FeasibilityResult dynamic_error_test(const TaskSet& ts,
 
       // Grow the level until at least one approximated task's new border
       // moves beyond `point` (bounded: borders grow without limit).
-      std::vector<std::size_t> revised;
+      revised.clear();
       while (revised.empty()) {
         level = grown(level, opts.growth_factor);
         if (opts.max_level != 0 && level > opts.max_level) {
@@ -113,7 +113,7 @@ FeasibilityResult dynamic_error_test(const TaskSet& ts,
         }
       }
       for (const std::size_t ti : revised) {
-        acc.revise(ts[ti], point);
+        acc.revise(utils[ti], scaled_app(ts[ti], point));
         approximated[ti] = false;
         ++r.revisions;
         const Time nxt = row_next_deadline_after(cols, ti, point);
@@ -134,7 +134,7 @@ FeasibilityResult dynamic_error_test(const TaskSet& ts,
         list.rearm_top(cols.period[ti]);
       } else {
         list.pop();
-        acc.approximate(ts[ti]);
+        acc.approximate(utils[ti]);
         approximated[ti] = true;
         approx_members.push_back(ti);
       }
@@ -147,6 +147,11 @@ FeasibilityResult dynamic_error_test(const TaskSet& ts,
   r.verdict = Verdict::Feasible;
   r.final_level = level;
   return r;
+}
+
+FeasibilityResult dynamic_error_test(const TaskSet& ts,
+                                     const DynamicTestOptions& opts) {
+  return dynamic_error_test(PreparedSet(ts), opts);
 }
 
 }  // namespace edfkit

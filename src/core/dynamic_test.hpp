@@ -23,6 +23,7 @@
 #include <atomic>
 #include <optional>
 
+#include "analysis/prepared.hpp"
 #include "analysis/types.hpp"
 #include "model/task_set.hpp"
 
@@ -44,6 +45,10 @@ struct DynamicTestOptions {
   const std::atomic<bool>* stop = nullptr;
 };
 
+[[nodiscard]] FeasibilityResult dynamic_error_test(
+    const PreparedSet& ps, const DynamicTestOptions& opts = {});
+
+/// The same test on a set prepared for this call alone.
 [[nodiscard]] FeasibilityResult dynamic_error_test(
     const TaskSet& ts, const DynamicTestOptions& opts = {});
 

@@ -4,29 +4,30 @@
 #include <stdexcept>
 #include <vector>
 
-#include "analysis/utilization.hpp"
 #include "demand/accumulator.hpp"
 #include "demand/intervals.hpp"
 #include "demand/task_view.hpp"
 
 namespace edfkit {
 
-SuperPosSweep superpos_sweep(const TaskSet& ts, Time level) {
+SuperPosSweep superpos_sweep(const PreparedSet& ps, Time level) {
   if (level < 1) throw std::invalid_argument("superpos_test: level < 1");
   SuperPosSweep out;
   FeasibilityResult& r = out.base;
+  const TaskSet& ts = ps.tasks();
   if (ts.empty()) {
     r.verdict = Verdict::Feasible;
     return out;
   }
-  if (utilization_exceeds_one(ts)) {
+  if (ps.utilization_exceeds_one()) {
     r.verdict = Verdict::Infeasible;
     r.iterations = 1;
     out.demand_ratio = ts.utilization_double();
     return out;
   }
 
-  const TaskColumns cols(ts.tasks());
+  const TaskColumns& cols = ps.columns();
+  const std::span<const ScaledPair> utils = ps.task_utils();
   TestList list;
   std::vector<bool> approximated(cols.size(), false);
   for (std::size_t i = 0; i < cols.size(); ++i) {
@@ -66,7 +67,7 @@ SuperPosSweep superpos_sweep(const TaskSet& ts, Time level) {
       list.rearm_top(cols.period[e.task]);
     } else {
       list.pop();
-      acc.approximate(ts[e.task]);
+      acc.approximate(utils[e.task]);
       approximated[e.task] = true;
     }
     iold = point;
@@ -75,6 +76,14 @@ SuperPosSweep superpos_sweep(const TaskSet& ts, Time level) {
   // linear tail can never cross the capacity line (Lemma 1).
   r.verdict = Verdict::Feasible;
   return out;
+}
+
+SuperPosSweep superpos_sweep(const TaskSet& ts, Time level) {
+  return superpos_sweep(PreparedSet(ts), level);
+}
+
+FeasibilityResult superpos_test(const PreparedSet& ps, Time level) {
+  return superpos_sweep(ps, level).base;
 }
 
 FeasibilityResult superpos_test(const TaskSet& ts, Time level) {

@@ -14,6 +14,7 @@
 /// `chakraborty_test` runs this same sweep.
 #pragma once
 
+#include "analysis/prepared.hpp"
 #include "analysis/types.hpp"
 #include "model/task_set.hpp"
 
@@ -28,11 +29,14 @@ struct SuperPosSweep {
 };
 
 /// \pre level >= 1
+[[nodiscard]] SuperPosSweep superpos_sweep(const PreparedSet& ps, Time level);
 [[nodiscard]] SuperPosSweep superpos_sweep(const TaskSet& ts, Time level);
 
 /// Run SuperPos(level). Sufficient: Feasible on acceptance, Infeasible
 /// only via the exact U > 1 precheck, Unknown on rejection.
 /// \pre level >= 1
+[[nodiscard]] FeasibilityResult superpos_test(const PreparedSet& ps,
+                                              Time level);
 [[nodiscard]] FeasibilityResult superpos_test(const TaskSet& ts, Time level);
 
 }  // namespace edfkit

@@ -9,21 +9,6 @@ namespace {
 
 constexpr Int128 kS = kFixedPointScale;  // 2^62
 
-/// S-scaled bounds on the utilization C/T of one task.
-ScaledPair scaled_task_util(const Task& t) {
-  if (is_time_infinite(t.period)) return {0, 0};
-  return scale_fraction(static_cast<Int128>(t.wcet),
-                        static_cast<Int128>(t.period));
-}
-
-/// S-scaled bounds on app(I, t) = ((I-D) mod T)/T * C. \pre I >= D
-ScaledPair scaled_app(const Task& t, Time interval) {
-  if (is_time_infinite(t.period)) return {0, 0};
-  const Time r = floor_mod(interval - t.effective_deadline(), t.period);
-  return scale_fraction(static_cast<Int128>(r) * t.wcet,
-                        static_cast<Int128>(t.period));
-}
-
 /// S-scaled bounds on the linear envelope C*(I-D+T)/T. \pre I >= D - T
 ScaledPair scaled_envelope(const Task& t, Time interval) {
   if (is_time_infinite(t.period)) {
@@ -41,6 +26,19 @@ ScaledPair scaled_envelope(const Task& t, Time interval) {
 
 }  // namespace
 
+ScaledPair scaled_task_util(const Task& t) noexcept {
+  if (is_time_infinite(t.period)) return {0, 0};
+  return scale_fraction(static_cast<Int128>(t.wcet),
+                        static_cast<Int128>(t.period));
+}
+
+ScaledPair scaled_app(const Task& t, Time interval) noexcept {
+  if (is_time_infinite(t.period)) return {0, 0};
+  const Time r = floor_mod(interval - t.effective_deadline(), t.period);
+  return scale_fraction(static_cast<Int128>(r) * t.wcet,
+                        static_cast<Int128>(t.period));
+}
+
 void DemandAccumulator::advance(Time dt) {
   if (dt == 0) return;
   dlo_ += ulo_ * dt;
@@ -53,21 +51,19 @@ void DemandAccumulator::add_job(Time wcet) {
   dhi_ += v;
 }
 
-void DemandAccumulator::approximate(const Task& t) {
-  const ScaledPair u = scaled_task_util(t);
-  ulo_ += u.lo;
-  uhi_ += u.hi;
+void DemandAccumulator::approximate(const ScaledPair& util) {
+  ulo_ += util.lo;
+  uhi_ += util.hi;
 }
 
-void DemandAccumulator::revise(const Task& t, Time interval) {
-  const ScaledPair u = scaled_task_util(t);
+void DemandAccumulator::revise(const ScaledPair& util,
+                               const ScaledPair& app) {
   // Subtracting an interval swaps the roles of the endpoints.
-  ulo_ -= u.hi;
+  ulo_ -= util.hi;
   if (ulo_ < 0) ulo_ = 0;  // utilization can never be negative
-  uhi_ -= u.lo;
-  const ScaledPair a = scaled_app(t, interval);
-  dlo_ -= a.hi;
-  dhi_ -= a.lo;
+  uhi_ -= util.lo;
+  dlo_ -= app.hi;
+  dhi_ -= app.lo;
 }
 
 Ordering DemandAccumulator::compare_demand(Time interval) const noexcept {

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "model/task_set.hpp"
+#include "util/fixedpoint.hpp"
 #include "util/rational.hpp"
 
 namespace edfkit {
@@ -35,15 +36,16 @@ class DemandAccumulator {
   /// Account the WCET of one job whose deadline is at the frontier.
   void add_job(Time wcet);
 
-  /// Mark `t` approximated from the current frontier on. The frontier
-  /// must sit on a job deadline of `t` (where app == 0), so no value
-  /// correction is needed — only the slope changes.
-  void approximate(const Task& t);
+  /// Mark a task approximated from the current frontier on; `util` is
+  /// its certified utilization (scaled_task_util), prepared once per
+  /// task. The frontier must sit on a job deadline of the task (where
+  /// app == 0), so no value correction is needed — only the slope
+  /// changes.
+  void approximate(const ScaledPair& util);
 
-  /// Withdraw the approximation of `t` at frontier `interval`: subtract
-  /// the overestimation app(interval, t) and stop accruing its
-  /// utilization.
-  void revise(const Task& t, Time interval);
+  /// Withdraw the approximation of a task at the frontier: subtract its
+  /// overestimation `app` there (scaled_app) and stop accruing `util`.
+  void revise(const ScaledPair& util, const ScaledPair& app);
 
   /// dbf' vs interval. Greater means "demand exceeds capacity" (proof);
   /// Less/Equal means it fits (proof); Unknown means the certified
@@ -74,6 +76,14 @@ class DemandAccumulator {
   Int128 ulo_ = 0;
   Int128 uhi_ = 0;
 };
+
+/// Certified S-scaled bounds on the utilization C/T of `t` ({0, 0} for
+/// one-shot tasks).
+[[nodiscard]] ScaledPair scaled_task_util(const Task& t) noexcept;
+
+/// Certified S-scaled bounds on app(I, t) = ((I - D) mod T)/T * C
+/// (Lemma 6). \pre I >= D
+[[nodiscard]] ScaledPair scaled_app(const Task& t, Time interval) noexcept;
 
 /// Fresh S-scaled bounds on dbf'(interval) from per-task state.
 struct ScaledDemand {

@@ -1,12 +1,12 @@
 #include "query/certificate.hpp"
 
-#include <deque>
 #include <limits>
 #include <sstream>
 
 #include "analysis/bounds.hpp"
 #include "analysis/multi/global_tests.hpp"
 #include "analysis/utilization.hpp"
+#include "core/all_approx.hpp"
 #include "demand/accumulator.hpp"
 #include "demand/approx.hpp"
 #include "demand/dbf.hpp"
@@ -29,8 +29,7 @@ CertificateCheck rejected(std::string reason) {
 /// U <= 1 provable with exact rationals? (Marginal fixed-point fallbacks
 /// are not accepted as certificate evidence — the checker only signs off
 /// on claims it can fully re-establish.)
-bool utilization_provably_at_most_one(const TaskSet& ts) {
-  const UtilizationClass uc = classify_utilization(ts);
+bool utilization_provably_at_most_one(UtilizationClass uc) {
   return uc == UtilizationClass::BelowOne ||
          uc == UtilizationClass::ExactlyOne;
 }
@@ -50,7 +49,7 @@ CertificateCheck verify_borders(const TaskSet& ts, const Certificate& c,
   if (c.borders.size() != ts.size()) {
     return rejected("border count does not match task count");
   }
-  if (!utilization_provably_at_most_one(ts)) {
+  if (!utilization_provably_at_most_one(classify_utilization(ts))) {
     return rejected("utilization not provably <= 1");
   }
   for (std::size_t i = 0; i < ts.size(); ++i) {
@@ -118,7 +117,7 @@ CertificateCheck verify_borders(const TaskSet& ts, const Certificate& c,
 CertificateCheck verify_exhaustive(const TaskSet& ts, const Certificate& c,
                                    std::uint64_t max_points) {
   CertificateCheck out;
-  if (!utilization_provably_at_most_one(ts)) {
+  if (!utilization_provably_at_most_one(classify_utilization(ts))) {
     return rejected("utilization not provably <= 1");
   }
   // The checker trusts only its own horizon: the certificate's bound must
@@ -403,68 +402,47 @@ Certificate make_infeasibility_certificate(const FeasibilityResult& r) {
 }
 
 std::optional<Certificate> build_feasibility_certificate(
-    const TaskSet& ts, std::uint64_t step_cap) {
+    const PreparedSet& ps, std::uint64_t step_cap) {
   Certificate cert;
   cert.kind = CertificateKind::FeasibleBorders;
-  if (ts.empty()) return cert;
-  if (!utilization_provably_at_most_one(ts)) return std::nullopt;
-
-  const auto exhaustive_fallback = [&]() -> std::optional<Certificate> {
-    Certificate c;
-    c.kind = CertificateKind::FeasibleExhaustive;
-    c.bound = implicit_test_bound(ts);
-    return c;
-  };
-
-  // All-approximated sweep (paper Fig. 7, FIFO revision) run to test-list
-  // drain — not to a bound — so the recorded per-task borders cover every
-  // point the checker will regenerate. Revising a task re-enters its next
-  // deadline, and re-approximating it there raises its border; at drain
-  // every recorded border is the task's last verified job deadline.
-  TestList list;
-  std::vector<bool> approximated(ts.size(), false);
-  std::deque<std::size_t> approx_fifo;
-  cert.borders.assign(ts.size(), 0);
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    list.add(i, ts[i].effective_deadline());
+  if (ps.empty()) return cert;
+  if (!utilization_provably_at_most_one(ps.utilization_class())) {
+    return std::nullopt;
   }
-  DemandAccumulator acc;
-  Time iold = 0;
-  std::uint64_t steps = 0;
 
-  while (!list.empty()) {
-    if (++steps > step_cap) return exhaustive_fallback();
-    const auto entry = list.pop();
-    const Time point = entry.interval;
-    acc.advance(point - iold);
-    acc.add_job(ts[entry.task].wcet);
-
-    while (true) {
-      bool degraded = false;
-      const Ordering cmp =
-          acc.compare_with_refresh(ts, approximated, point, &degraded);
-      if (cmp != Ordering::Greater) break;
-      if (approx_fifo.empty()) {
-        // Every task exact: either a true overflow (the set is not
-        // feasible — never certify) or degraded arithmetic (fall back).
-        return degraded ? exhaustive_fallback() : std::nullopt;
-      }
-      if (++steps > step_cap) return exhaustive_fallback();
-      const std::size_t ti = approx_fifo.front();
-      approx_fifo.pop_front();
-      acc.revise(ts[ti], point);
-      approximated[ti] = false;
-      const Time nxt = ts[ti].next_deadline_after(point);
-      if (!is_time_infinite(nxt)) list.add(ti, nxt);
+  // The all-approximated sweep (paper Fig. 7, FIFO revision) run to
+  // test-list drain — not to a bound — so the recorded per-task borders
+  // cover every point the checker will regenerate. A FIFO all-approx
+  // run earlier in the query left its sweep in `ps`; the sweep is
+  // deterministic, so draining it gives the borders a fresh drain
+  // would, and the steps it already took count against `step_cap`.
+  std::optional<AllApproxSweep> own;
+  AllApproxSweep* sweep = ps.resumable_sweep();
+  if (sweep == nullptr) sweep = &own.emplace(ps, RevisionPolicy::Fifo);
+  const AllApproxSweep::Stop stop =
+      sweep->steps() > step_cap
+          ? AllApproxSweep::Stop::StepCap
+          : sweep->run(AllApproxSweep::kNoBound, nullptr, step_cap);
+  switch (stop) {
+    case AllApproxSweep::Stop::Drained:
+      cert.borders = sweep->borders();
+      return cert;
+    case AllApproxSweep::Stop::Overflow:
+      return std::nullopt;  // not feasible: never certify
+    default: {
+      // Step-capped (near U = 1 the drain can keep revising long past
+      // the bound) or degraded arithmetic: the exhaustive form.
+      Certificate c;
+      c.kind = CertificateKind::FeasibleExhaustive;
+      c.bound = ps.implicit_test_bound();
+      return c;
     }
-
-    acc.approximate(ts[entry.task]);
-    approximated[entry.task] = true;
-    approx_fifo.push_back(entry.task);
-    cert.borders[entry.task] = point;
-    iold = point;
   }
-  return cert;
+}
+
+std::optional<Certificate> build_feasibility_certificate(
+    const TaskSet& ts, std::uint64_t step_cap) {
+  return build_feasibility_certificate(PreparedSet(ts), step_cap);
 }
 
 std::optional<Certificate> build_multiprocessor_certificate(

@@ -53,6 +53,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/prepared.hpp"
 #include "analysis/types.hpp"
 #include "model/platform.hpp"
 #include "model/task_set.hpp"
@@ -149,10 +150,18 @@ inline constexpr std::uint64_t kDefaultVerifyPointCap = 1u << 22;
     const FeasibilityResult& r);
 
 /// Construct a feasibility certificate for a provably feasible set by an
-/// all-approximated superposition sweep that records per-task borders.
-/// Falls back to the exhaustive form when the sweep exceeds `step_cap`
-/// (possible only for pathological U == 1 sets). Returns nullopt when the
-/// set is not provably feasible (never emits an unsound certificate).
+/// all-approximated superposition sweep that records per-task borders
+/// (core/all_approx.hpp's `AllApproxSweep`, drained). When a FIFO
+/// all_approx_test already ran on `ps`, its sweep is resumed rather
+/// than repeated; the result is the same either way. Falls back to the
+/// exhaustive form when the sweep's pops plus revisions exceed
+/// `step_cap` (near U = 1 the drain can revise long past the bound,
+/// even on small sets). Returns
+/// nullopt when the set is not provably feasible (never emits an
+/// unsound certificate).
+[[nodiscard]] std::optional<Certificate> build_feasibility_certificate(
+    const PreparedSet& ps, std::uint64_t step_cap = 1u << 20);
+/// The same on a set prepared for this call alone (a fresh sweep).
 [[nodiscard]] std::optional<Certificate> build_feasibility_certificate(
     const TaskSet& ts, std::uint64_t step_cap = 1u << 20);
 

@@ -191,6 +191,9 @@ Outcome Query::run(const WorkloadView& w) const {
   }
   const BackendRegistry& reg = BackendRegistry::instance();
   const TaskSet& ts = w.tasks();
+  // The per-set facts every backend reads, derived once for the whole
+  // query, and the all-approx sweep the certificate resumes.
+  const PreparedSet prepared(ts);
 
   Outcome out;
   std::vector<const BackendSelection*> runnable;
@@ -226,7 +229,7 @@ Outcome Query::run(const WorkloadView& w) const {
   const auto run_one = [&](const BackendSelection& sel,
                            const std::atomic<bool>* stop = nullptr) {
     const BackendInfo* info = reg.find(sel.kind);
-    return info->run(ts, platform_,
+    return info->run(prepared, platform_,
                      arm_stop(apply_limits(sel.params, limits_), stop));
   };
 
@@ -257,11 +260,10 @@ Outcome Query::run(const WorkloadView& w) const {
       // the long-running exact backends poll it and return early with
       // `cancelled`, so the race never pays for the slowest loser.
       //
-      // Populate the set's lazy caches (exact utilization, deadline
-      // order) on this thread first: they are unsynchronized mutables,
-      // and every backend's precheck would otherwise race to fill them.
-      (void)ts.utilization();
-      (void)ts.by_deadline();
+      // Populate the prepared facts and the set's own lazy caches on
+      // this thread first: they are unsynchronized mutables, and every
+      // backend would otherwise race to fill them.
+      prepared.prime();
       std::atomic<bool> stop{false};
       std::mutex m;
       std::vector<BackendAttempt> done;
@@ -335,7 +337,7 @@ Outcome Query::run(const WorkloadView& w) const {
       // nullopt here would indicate a library bug and is surfaced by
       // leaving the certificate absent.
       if (auto cert = build_feasibility_certificate(
-              ts, limits_.certificate_step_cap)) {
+              prepared, limits_.certificate_step_cap)) {
         out.certificate = std::move(*cert);
       }
     }

@@ -26,6 +26,13 @@
 /// Backends that do not support the workload's kind are skipped under
 /// multi-backend policies (and rejected under Single) — capability
 /// filtering replaces the old hard-coded test lists.
+///
+/// Every run prepares the workload's task set once
+/// (analysis/prepared.hpp): the utilization class, the test bounds, the
+/// flat demand columns and the per-task utilizations are derived once
+/// and read by every backend, and a feasibility certificate resumes the
+/// sweep of a FIFO all-approx attempt instead of repeating it. Nothing
+/// outlives the run.
 #pragma once
 
 #include <cstdint>

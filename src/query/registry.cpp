@@ -19,80 +19,80 @@
 namespace edfkit {
 namespace {
 
-FeasibilityResult run_liu_layland(const TaskSet& ts, const Platform&,
+FeasibilityResult run_liu_layland(const PreparedSet& ps, const Platform&,
                                   const BackendParams&) {
-  return liu_layland_test(ts);
+  return liu_layland_test(ps);
 }
-FeasibilityResult run_devi(const TaskSet& ts, const Platform&,
+FeasibilityResult run_devi(const PreparedSet& ps, const Platform&,
                            const BackendParams&) {
-  return devi_test(ts);
+  return devi_test(ps);
 }
-FeasibilityResult run_superpos(const TaskSet& ts, const Platform&,
+FeasibilityResult run_superpos(const PreparedSet& ps, const Platform&,
                                const BackendParams& p) {
-  return superpos_test(ts, std::get<SuperPosParams>(p).level);
+  return superpos_test(ps, std::get<SuperPosParams>(p).level);
 }
-FeasibilityResult run_chakraborty(const TaskSet& ts, const Platform&,
+FeasibilityResult run_chakraborty(const PreparedSet& ps, const Platform&,
                                   const BackendParams& p) {
-  return chakraborty_test(ts, std::get<ChakrabortyParams>(p).epsilon).base;
+  return chakraborty_test(ps, std::get<ChakrabortyParams>(p).epsilon).base;
 }
-FeasibilityResult run_processor_demand(const TaskSet& ts, const Platform&,
+FeasibilityResult run_processor_demand(const PreparedSet& ps, const Platform&,
                                        const BackendParams& p) {
-  return processor_demand_test(ts, std::get<ProcessorDemandOptions>(p));
+  return processor_demand_test(ps, std::get<ProcessorDemandOptions>(p));
 }
-FeasibilityResult run_qpa(const TaskSet& ts, const Platform&,
+FeasibilityResult run_qpa(const PreparedSet& ps, const Platform&,
                           const BackendParams& p) {
-  return qpa_test(ts, std::get<QpaParams>(p).stop);
+  return qpa_test(ps, std::get<QpaParams>(p).stop);
 }
-FeasibilityResult run_dynamic(const TaskSet& ts, const Platform&,
+FeasibilityResult run_dynamic(const PreparedSet& ps, const Platform&,
                               const BackendParams& p) {
-  return dynamic_error_test(ts, std::get<DynamicTestOptions>(p));
+  return dynamic_error_test(ps, std::get<DynamicTestOptions>(p));
 }
-FeasibilityResult run_all_approx(const TaskSet& ts, const Platform&,
+FeasibilityResult run_all_approx(const PreparedSet& ps, const Platform&,
                                  const BackendParams& p) {
-  return all_approx_test(ts, std::get<AllApproxOptions>(p));
+  return all_approx_test(ps, std::get<AllApproxOptions>(p));
 }
-FeasibilityResult run_rtc_curve(const TaskSet& ts, const Platform&,
+FeasibilityResult run_rtc_curve(const PreparedSet& ps, const Platform&,
                                 const BackendParams&) {
-  return rtc::rtc_feasibility_test(ts);
+  return rtc::rtc_feasibility_test(ps.tasks());
 }
-FeasibilityResult run_devi_envelope(const TaskSet& ts, const Platform&,
+FeasibilityResult run_devi_envelope(const PreparedSet& ps, const Platform&,
                                     const BackendParams&) {
-  return rtc::devi_envelope_test(ts);
+  return rtc::devi_envelope_test(ps.tasks());
 }
 
-FeasibilityResult run_gfb(const TaskSet& ts, const Platform& p,
+FeasibilityResult run_gfb(const PreparedSet& ps, const Platform& p,
                           const BackendParams&) {
-  return multi::gfb_density_test(ts, p);
+  return multi::gfb_density_test(ps.tasks(), p);
 }
-FeasibilityResult run_global_bcl(const TaskSet& ts, const Platform& p,
+FeasibilityResult run_global_bcl(const PreparedSet& ps, const Platform& p,
                                  const BackendParams&) {
-  return multi::global_bcl_test(ts, p);
+  return multi::global_bcl_test(ps.tasks(), p);
 }
-FeasibilityResult run_global_bcl_iter(const TaskSet& ts, const Platform& p,
+FeasibilityResult run_global_bcl_iter(const PreparedSet& ps, const Platform& p,
                                       const BackendParams& params) {
   multi::GlobalTestConfig cfg;
   cfg.max_rounds = std::get<GlobalBclIterParams>(params).max_rounds;
-  return multi::global_bcl_iterative_test(ts, p, cfg);
+  return multi::global_bcl_iterative_test(ps.tasks(), p, cfg);
 }
-FeasibilityResult run_global_load(const TaskSet& ts, const Platform& p,
+FeasibilityResult run_global_load(const PreparedSet& ps, const Platform& p,
                                   const BackendParams& params) {
   multi::GlobalTestConfig cfg;
   cfg.max_load_points = std::get<GlobalLoadParams>(params).max_points;
-  return multi::global_load_test(ts, p, cfg);
+  return multi::global_load_test(ps.tasks(), p, cfg);
 }
-FeasibilityResult run_global_rta(const TaskSet& ts, const Platform& p,
+FeasibilityResult run_global_rta(const PreparedSet& ps, const Platform& p,
                                  const BackendParams& params) {
   const auto& rp = std::get<GlobalRtaParams>(params);
   multi::GlobalTestConfig cfg;
   cfg.max_rounds = rp.max_rounds;
   cfg.max_rta_iterations = rp.max_iterations;
-  return multi::global_rta_test(ts, p, cfg);
+  return multi::global_rta_test(ps.tasks(), p, cfg);
 }
-FeasibilityResult run_global_sim(const TaskSet& ts, const Platform& p,
+FeasibilityResult run_global_sim(const PreparedSet& ps, const Platform& p,
                                  const BackendParams& params) {
   OracleConfig cfg;
   cfg.max_horizon = std::get<GlobalSimParams>(params).max_horizon;
-  return simulate_global_feasibility(ts, p.m, cfg);
+  return simulate_global_feasibility(ps.tasks(), p.m, cfg);
 }
 
 /// Classic Levenshtein distance with an early-out band; names are short

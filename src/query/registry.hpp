@@ -7,7 +7,9 @@
 /// registry instead of hard-coded kind lists.
 ///
 /// Backends run through a uniform function-pointer entry taking the
-/// canonical sporadic `TaskSet` plus their typed parameter struct (see
+/// query's `PreparedSet` — the canonical sporadic `TaskSet` with the
+/// per-set facts every uniprocessor test reads, derived once per query
+/// (analysis/prepared.hpp) — plus their typed parameter struct (see
 /// options.hpp); the Query layer (query.hpp) handles workload
 /// normalization, validation, policies, and certificates on top.
 #pragma once
@@ -19,6 +21,7 @@
 #include <string_view>
 #include <vector>
 
+#include "analysis/prepared.hpp"
 #include "analysis/types.hpp"
 #include "model/platform.hpp"
 #include "model/task_set.hpp"
@@ -83,12 +86,13 @@ struct BackendInfo {
   bool incremental = false;
   /// PlatformCap bitmask; see supports(const Platform&).
   std::uint8_t platform_caps = kPlatformUniprocessor | kPlatformPartitioned;
-  /// Uniform entry point: canonical sporadic form + platform + typed
-  /// params. The params variant must hold the alternative for `kind`
-  /// (see validate_params); Query guarantees this before dispatch.
-  /// Uniprocessor backends ignore the platform (Query only routes them
-  /// m == 1 work).
-  FeasibilityResult (*run)(const TaskSet& ts, const Platform& platform,
+  /// Uniform entry point: the prepared canonical sporadic form +
+  /// platform + typed params. The params variant must hold the
+  /// alternative for `kind` (see validate_params); Query guarantees
+  /// this before dispatch. Uniprocessor backends ignore the platform
+  /// (Query only routes them m == 1 work); the global ones read only
+  /// `ps.tasks()`.
+  FeasibilityResult (*run)(const PreparedSet& ps, const Platform& platform,
                            const BackendParams& params);
 
   [[nodiscard]] bool supports(WorkloadKind w) const noexcept {

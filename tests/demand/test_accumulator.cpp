@@ -25,7 +25,7 @@ TEST(Accumulator, ApproximatedSlopeAccrues) {
   const std::vector<bool> approx = {true};
   DemandAccumulator acc;
   acc.add_job(t.wcet);   // frontier at the first deadline, demand 2
-  acc.approximate(t);
+  acc.approximate(scaled_task_util(t));
   acc.advance(10);       // +10 * 1/5 = 2 -> demand 4 at I=20
   // The raw interval decides clear thresholds...
   EXPECT_EQ(acc.compare_demand(5), Ordering::Less);
@@ -45,9 +45,9 @@ TEST(Accumulator, ReviseRestoresExactDemand) {
   const Task t = testing::tk(3, 8, 10);
   DemandAccumulator acc;
   acc.add_job(t.wcet);
-  acc.approximate(t);
+  acc.approximate(scaled_task_util(t));
   acc.advance(5);  // frontier 13; envelope = 3*(13-8+10)/10 = 4.5
-  acc.revise(t, 13);  // exact dbf(13) = 3
+  acc.revise(scaled_task_util(t), scaled_app(t, 13));  // exact dbf(13) = 3
   EXPECT_EQ(acc.compare_demand(4), Ordering::Less);
   EXPECT_EQ(acc.compare_demand(2), Ordering::Greater);
 }
@@ -61,7 +61,7 @@ TEST(Accumulator, CompareWithRefreshSettlesEquality) {
   std::vector<bool> approx = {true};
   DemandAccumulator acc;
   acc.add_job(t.wcet);
-  acc.approximate(t);
+  acc.approximate(scaled_task_util(t));
   acc.advance(10);  // frontier 20: envelope 5*(20-10+10)/10 = 10
   bool degraded = false;
   // demand exactly 10 vs capacity 10: must be proven <=.
@@ -116,7 +116,7 @@ TEST_P(AccumulatorWalk, IncrementalMatchesRecompute) {
     while (k < order.size() &&
            ts[order[k]].effective_deadline() == point) {
       acc.add_job(ts[order[k]].wcet);
-      acc.approximate(ts[order[k]]);
+      acc.approximate(scaled_task_util(ts[order[k]]));
       approximated[order[k]] = true;
       ++k;
     }

@@ -33,6 +33,8 @@
 namespace edfkit {
 namespace {
 
+using testing::Digest;
+using testing::golden_pool;
 using testing::set_of;
 using testing::tk;
 
@@ -181,29 +183,6 @@ TEST(KernelEquivalence, RewiredBackendsMatchBruteForceOverflow) {
 
 // ------------------------------------------------ golden sweep digests
 
-/// 64-bit FNV-1a over the little-endian bytes of every folded value.
-struct Digest {
-  std::uint64_t h = 14695981039346656037ull;
-
-  void fold(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  void fold_time(Time t) { fold(static_cast<std::uint64_t>(t)); }
-  void fold(const FeasibilityResult& r) {
-    fold(static_cast<std::uint64_t>(r.verdict));
-    fold(r.iterations);
-    fold(r.revisions);
-    fold_time(r.max_interval_tested);
-    fold_time(r.witness);
-    fold_time(r.final_level);
-    fold(r.degraded ? 1 : 0);
-    fold(r.cancelled ? 1 : 0);
-  }
-};
-
 enum Sweep : std::size_t {
   kProcessorDemand,
   kQpa,
@@ -216,19 +195,6 @@ enum Sweep : std::size_t {
   kCertificate,
   kSweepCount,
 };
-
-/// Seeded Fig. 8 sets (U 0.90 ... 0.99) and small sets (U 0.50 ... 1.09).
-std::vector<TaskSet> golden_pool() {
-  std::vector<TaskSet> pool;
-  Rng rng(20050318);
-  for (int i = 0; i < 200; ++i) {
-    pool.push_back(draw_fig8_set(rng, 0.90 + 0.01 * (i % 10)));
-  }
-  for (int i = 0; i < 600; ++i) {
-    pool.push_back(draw_small_set(rng, 0.50 + 0.001 * i));
-  }
-  return pool;
-}
 
 /// One digest per backend over every FeasibilityResult field of every
 /// set; the certificate digest folds the borders and the checker's

@@ -2,6 +2,7 @@
 /// Shared helpers for the edfkit test suite.
 #pragma once
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -9,6 +10,7 @@
 #include <system_error>
 #include <vector>
 
+#include "analysis/types.hpp"
 #include "gen/scenario.hpp"
 #include "model/task_set.hpp"
 #include "util/random.hpp"
@@ -54,6 +56,44 @@ inline std::vector<TaskSet> paper_random_sets(int count, double utilization,
   }
   return out;
 }
+
+/// The pool the golden digests are recorded over: seeded Fig. 8 sets
+/// (U 0.90 ... 0.99) and small sets (U 0.50 ... 1.09).
+inline std::vector<TaskSet> golden_pool() {
+  std::vector<TaskSet> pool;
+  Rng rng(20050318);
+  for (int i = 0; i < 200; ++i) {
+    pool.push_back(draw_fig8_set(rng, 0.90 + 0.01 * (i % 10)));
+  }
+  for (int i = 0; i < 600; ++i) {
+    pool.push_back(draw_small_set(rng, 0.50 + 0.001 * i));
+  }
+  return pool;
+}
+
+/// 64-bit FNV-1a over the little-endian bytes of every folded value —
+/// the golden digests that pin results bit for bit.
+struct Digest {
+  std::uint64_t h = 14695981039346656037ull;
+
+  void fold(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  void fold_time(Time t) { fold(static_cast<std::uint64_t>(t)); }
+  void fold(const FeasibilityResult& r) {
+    fold(static_cast<std::uint64_t>(r.verdict));
+    fold(r.iterations);
+    fold(r.revisions);
+    fold_time(r.max_interval_tested);
+    fold_time(r.witness);
+    fold_time(r.final_level);
+    fold(r.degraded ? 1 : 0);
+    fold(r.cancelled ? 1 : 0);
+  }
+};
 
 /// Iteration multiplier for the differential fuzz suites. The nightly
 /// long-fuzz CI workflow sets EDFKIT_FUZZ_MULT=20 to run the same

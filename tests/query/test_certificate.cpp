@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <optional>
+
 #include "../helpers.hpp"
+#include "core/all_approx.hpp"
 #include "demand/dbf.hpp"
 #include "query/query.hpp"
 
@@ -164,6 +168,174 @@ TEST(Certificate, StreamWorkloadCertificatesVerifyAgainstExpansion) {
   ASSERT_TRUE(out.decided);
   ASSERT_TRUE(out.certificate.present());
   EXPECT_TRUE(verify(w, out.certificate).valid);
+}
+
+// ------------------------------------------- resumed all-approx sweeps
+
+/// Same presence, kind, bound, witness and borders.
+void expect_same(const std::optional<Certificate>& got,
+                 const std::optional<Certificate>& want,
+                 const TaskSet& ts) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << ts.to_string();
+  if (!got) return;
+  EXPECT_EQ(got->kind, want->kind) << ts.to_string();
+  EXPECT_EQ(got->bound, want->bound) << ts.to_string();
+  EXPECT_EQ(got->witness, want->witness) << ts.to_string();
+  EXPECT_EQ(got->borders, want->borders) << ts.to_string();
+}
+
+/// Fig. 8-sized and small sets near U = 1, where revisions are common.
+std::vector<TaskSet> resume_pool() {
+  std::vector<TaskSet> pool = paper_random_sets(24, 0.97, /*seed=*/5);
+  for (const double u : {0.9, 0.99}) {
+    for (TaskSet& ts : small_random_sets(24, u, /*seed=*/13)) {
+      pool.push_back(std::move(ts));
+    }
+  }
+  return pool;
+}
+
+/// Steps a fresh FIFO sweep takes to drain `ts`, when it drains within
+/// the default certificate step cap.
+std::optional<std::uint64_t> drain_steps(const TaskSet& ts) {
+  const PreparedSet ps(ts);
+  AllApproxSweep sweep(ps, RevisionPolicy::Fifo);
+  if (sweep.run(AllApproxSweep::kNoBound, nullptr,
+                ResourceLimits{}.certificate_step_cap) !=
+      AllApproxSweep::Stop::Drained) {
+    return std::nullopt;
+  }
+  return sweep.steps();
+}
+
+TEST(CertificateResume, BoundStoppedSweepDrainsToTheFromScratchCertificate) {
+  std::size_t resumed = 0;
+  for (const TaskSet& ts : resume_pool()) {
+    // A small user bound stops the run early; the default bound stops
+    // it where the query's all-approx backend does.
+    for (const std::optional<Time> bound :
+         {std::optional<Time>(ts.min_deadline()), std::optional<Time>()}) {
+      const PreparedSet ps(ts);
+      AllApproxOptions opts;
+      opts.bound = bound;
+      const FeasibilityResult r = all_approx_test(ps, opts);
+      if (!r.feasible()) continue;
+      const AllApproxSweep* sweep = ps.resumable_sweep();
+      ASSERT_NE(sweep, nullptr);
+      EXPECT_EQ(sweep->steps(), r.effort());
+      resumed += r.effort() > 0 ? 1 : 0;
+      const auto fresh = build_feasibility_certificate(ts);
+      expect_same(build_feasibility_certificate(ps), fresh, ts);
+      // A bound below the first overflow reads Feasible on an infeasible
+      // set; its drain overflows and certifies nothing, like a fresh one.
+      if (!fresh || fresh->kind != CertificateKind::FeasibleBorders) continue;
+      // The certificate drained the run's own sweep, not a second one.
+      EXPECT_EQ(sweep, ps.resumable_sweep());
+      EXPECT_EQ(sweep->steps(), drain_steps(ts));
+    }
+  }
+  EXPECT_GT(resumed, 20u);
+}
+
+TEST(CertificateResume, CancelledSweepResumesWhereItStopped) {
+  std::size_t cancelled = 0;
+  for (const TaskSet& ts : resume_pool()) {
+    // Cancelled before its first step, through the test's stop token.
+    {
+      const PreparedSet ps(ts);
+      const std::atomic<bool> stop{true};
+      AllApproxOptions opts;
+      opts.stop = &stop;
+      const FeasibilityResult r = all_approx_test(ps, opts);
+      if (ps.utilization_exceeds_one()) continue;
+      ASSERT_TRUE(r.cancelled);
+      ASSERT_NE(ps.resumable_sweep(), nullptr);
+      expect_same(build_feasibility_certificate(ps),
+                  build_feasibility_certificate(ts), ts);
+    }
+    // Cancelled mid-sweep: paused at a bound, then stopped on resume.
+    const PreparedSet ps(ts);
+    AllApproxSweep* sweep = ps.claim_sweep();
+    ASSERT_NE(sweep, nullptr);
+    if (sweep->run(ps.implicit_test_bound() / 2) !=
+        AllApproxSweep::Stop::Bound) {
+      continue;
+    }
+    const std::atomic<bool> stop{true};
+    ASSERT_EQ(sweep->run(AllApproxSweep::kNoBound, &stop),
+              AllApproxSweep::Stop::Cancelled);
+    ++cancelled;
+    expect_same(build_feasibility_certificate(ps),
+                build_feasibility_certificate(ts), ts);
+  }
+  EXPECT_GT(cancelled, 10u);
+}
+
+TEST(CertificateResume, PortfolioCertificatesMatchFromScratch) {
+  // Whatever point the race cancels the all-approx backend at, the
+  // certificate it resumes is the from-scratch one.
+  const Query q = Query::portfolio();
+  for (const TaskSet& ts : resume_pool()) {
+    const Outcome out = q.run(ts);
+    ASSERT_TRUE(out.decided);
+    if (!out.feasible()) continue;
+    expect_same(out.certificate, build_feasibility_certificate(ts), ts);
+  }
+}
+
+TEST(CertificateResume, StepCapTripsMidResumeToTheExhaustiveForm) {
+  std::size_t mid_resume = 0;
+  for (const TaskSet& ts : resume_pool()) {
+    const FeasibilityResult r = all_approx_test(ts);
+    const auto drained = drain_steps(ts);
+    if (!r.feasible() || !drained) continue;
+    const std::uint64_t run_steps = r.effort();
+    const std::uint64_t total = *drained;
+    // Caps below the run's own steps, between its steps and the drain's,
+    // and at the drain's total (the last one certifies by borders).
+    for (const std::uint64_t cap :
+         {run_steps / 2, run_steps + (total - run_steps) / 2, total}) {
+      ResourceLimits limits;
+      limits.certificate_step_cap = cap;
+      const Outcome out =
+          Query::single(TestKind::AllApprox).with_limits(limits).run(ts);
+      const auto fresh = build_feasibility_certificate(ts, cap);
+      expect_same(out.certificate, fresh, ts);
+      const bool trips_mid_resume = run_steps < cap && cap < total;
+      if (trips_mid_resume) {
+        EXPECT_EQ(out.certificate.kind, CertificateKind::FeasibleExhaustive);
+        mid_resume += 1;
+      }
+      if (cap == total) {
+        EXPECT_EQ(out.certificate.kind, CertificateKind::FeasibleBorders);
+      }
+      EXPECT_TRUE(verify(ts, out.certificate).valid);
+    }
+  }
+  // Most runs drain before their bound; the pool must still hold sets
+  // that revise past it.
+  EXPECT_GT(mid_resume, 0u);
+}
+
+TEST(CertificateResume, LifoAndMaxErrorRunsAreNotResumed) {
+  for (const TaskSet& ts : resume_pool()) {
+    for (const RevisionPolicy policy :
+         {RevisionPolicy::Lifo, RevisionPolicy::MaxError}) {
+      const PreparedSet ps(ts);
+      AllApproxOptions opts;
+      opts.revision = policy;
+      (void)all_approx_test(ps, opts);
+      EXPECT_EQ(ps.resumable_sweep(), nullptr);
+      expect_same(build_feasibility_certificate(ps),
+                  build_feasibility_certificate(ts), ts);
+
+      const Outcome out =
+          Query::single(TestKind::AllApprox, opts).run(ts);
+      if (out.feasible()) {
+        expect_same(out.certificate, build_feasibility_certificate(ts), ts);
+      }
+    }
+  }
 }
 
 }  // namespace

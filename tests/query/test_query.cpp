@@ -11,6 +11,8 @@
 namespace edfkit {
 namespace {
 
+using testing::Digest;
+using testing::golden_pool;
 using testing::set_of;
 using testing::small_random_sets;
 using testing::tk;
@@ -278,6 +280,45 @@ TEST(QueryPolicy, OutcomeToStringMentionsVerdictAndBackend) {
   EXPECT_NE(s.find("feasible"), std::string::npos);
   EXPECT_NE(s.find("qpa"), std::string::npos);
   EXPECT_NE(s.find("certificate"), std::string::npos);
+}
+
+// ------------------------------------------------ golden batch digest
+
+TEST(QueryBatch, SixBackendOutcomeDigestMatchesGolden) {
+  // The offline Batch query: four exact and two sufficient backends,
+  // certificates on. Every Outcome field is folded — each attempt's
+  // kind and result, the combined verdict, the decider and its result,
+  // and the certificate — so sharing per-set work across backends and
+  // resuming the all-approx sweep for the certificate must reproduce
+  // the outcome bit for bit.
+  const Query q = Query::batch(
+      {TestKind::ProcessorDemand, TestKind::Qpa, TestKind::Dynamic,
+       TestKind::AllApprox, TestKind::Devi, TestKind::Chakraborty});
+  Digest d;
+  for (const TaskSet& ts : golden_pool()) {
+    const Outcome o = q.run(ts);
+    d.fold(o.attempts.size());
+    for (const BackendAttempt& a : o.attempts) {
+      d.fold(static_cast<std::uint64_t>(a.kind));
+      d.fold(a.result);
+    }
+    d.fold(o.skipped.size());
+    d.fold(static_cast<std::uint64_t>(o.verdict));
+    d.fold(o.decided ? 1 : 0);
+    d.fold(static_cast<std::uint64_t>(o.decided_by));
+    d.fold(o.analysis);
+    const Certificate& c = o.certificate;
+    d.fold(static_cast<std::uint64_t>(c.kind));
+    d.fold_time(c.bound);
+    d.fold_time(c.witness);
+    d.fold(c.processors);
+    d.fold(static_cast<std::uint64_t>(c.multi_test));
+    d.fold(c.borders.size());
+    for (const Time b : c.borders) d.fold_time(b);
+  }
+  // Recorded from the build that re-derived every per-set fact in each
+  // backend and built the certificate by a from-scratch sweep.
+  EXPECT_EQ(d.h, 0xaace2e19d375e628ull) << "digest 0x" << std::hex << d.h;
 }
 
 }  // namespace
