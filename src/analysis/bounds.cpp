@@ -12,8 +12,8 @@ namespace {
 /// rational path overflows: an S-scaled ceil-sum of the numerator over a
 /// certified lower bound of (1 - U). Any value >= the true bound is a
 /// sound test bound, so rounding up everywhere is safe.
-std::optional<Time> george_bound_scaled(const TaskSet& ts) {
-  const ScaledUtilization u = scaled_utilization_bounds(ts);
+std::optional<Time> george_bound_scaled(const TaskSet& ts,
+                                       const ScaledUtilization& u) {
   if (u.upper >= kUtilizationScale) return std::nullopt;  // U might be >= 1
   const Int128 denom_low = kUtilizationScale - u.upper;   // <= (1-U)*S
   Int128 num_up = 0;                                      // >= Sigma(..)*S
@@ -64,9 +64,36 @@ Time to_inclusive_bound(const Rational& r) {
   return std::min(r.floor(), kTimeInfinity);
 }
 
-}  // namespace
+/// What the three closed-form bounds share, each derived at most once
+/// per call: 1 - U as an exact rational and, for when that overflows,
+/// the S-scaled utilization bounds and the certified George bound.
+class BoundInputs {
+ public:
+  explicit BoundInputs(const TaskSet& ts)
+      : ts_(ts), slack_(one_minus_util(ts)) {}
 
-std::optional<Time> baruah_bound(const TaskSet& ts) {
+  [[nodiscard]] const TaskSet& tasks() const { return ts_; }
+  [[nodiscard]] const std::optional<Rational>& slack() const {
+    return slack_;
+  }
+  [[nodiscard]] const ScaledUtilization& scaled() {
+    if (!scaled_) scaled_ = scaled_utilization_bounds(ts_);
+    return *scaled_;
+  }
+  [[nodiscard]] std::optional<Time> george_scaled() {
+    if (!george_scaled_) george_scaled_ = george_bound_scaled(ts_, scaled());
+    return *george_scaled_;
+  }
+
+ private:
+  const TaskSet& ts_;
+  std::optional<Rational> slack_;
+  std::optional<ScaledUtilization> scaled_;
+  std::optional<std::optional<Time>> george_scaled_;
+};
+
+std::optional<Time> baruah(BoundInputs& in) {
+  const TaskSet& ts = in.tasks();
   if (!ts.constrained_deadlines()) return std::nullopt;
   Time max_gap = 0;
   for (const Task& t : ts) {
@@ -80,14 +107,13 @@ std::optional<Time> baruah_bound(const TaskSet& ts) {
     if (utilization_at_most_one(ts)) return 0;
     return std::nullopt;
   }
-  const auto slack = one_minus_util(ts);
-  if (slack) {
+  if (const auto& slack = in.slack()) {
     Rational b = ts.utilization() * Rational(max_gap) / *slack;
     if (b.exact()) return to_inclusive_bound(b);
   }
   // Certified fallback: ceil(U_up * max_gap / (1 - U_up)) with the
   // S-scaled utilization upper bound (over-approximation is sound).
-  const ScaledUtilization u = scaled_utilization_bounds(ts);
+  const ScaledUtilization& u = in.scaled();
   if (u.upper >= kUtilizationScale) return std::nullopt;
   const Int128 denom = kUtilizationScale - u.upper;
   if (is_time_infinite(max_gap)) return std::nullopt;
@@ -97,9 +123,10 @@ std::optional<Time> baruah_bound(const TaskSet& ts) {
   return static_cast<Time>(b);
 }
 
-std::optional<Time> george_bound(const TaskSet& ts) {
-  const auto slack = one_minus_util(ts);
-  if (!slack) return george_bound_scaled(ts);
+std::optional<Time> george(BoundInputs& in) {
+  const TaskSet& ts = in.tasks();
+  const auto& slack = in.slack();
+  if (!slack) return in.george_scaled();
   Rational num;
   for (const Task& t : ts) {
     const Time d = t.effective_deadline();
@@ -110,17 +137,18 @@ std::optional<Time> george_bound(const TaskSet& ts) {
     }
   }
   Rational b = num / *slack;
-  if (!b.exact()) return george_bound_scaled(ts);
+  if (!b.exact()) return in.george_scaled();
   return to_inclusive_bound(b);
 }
 
-std::optional<Time> superposition_bound(const TaskSet& ts) {
-  const auto slack = one_minus_util(ts);
+std::optional<Time> superposition(BoundInputs& in) {
+  const TaskSet& ts = in.tasks();
+  const auto& slack = in.slack();
   if (!slack) {
     // Certified fallback: George's sum only over-approximates the signed
     // superposition sum (negative D > T terms are dropped), so it stays a
     // sound stand-in.
-    const auto g = george_bound_scaled(ts);
+    const auto g = in.george_scaled();
     if (!g) return std::nullopt;
     return std::max(ts.max_deadline(), *g);
   }
@@ -136,11 +164,28 @@ std::optional<Time> superposition_bound(const TaskSet& ts) {
   }
   Rational b = num / *slack;
   if (!b.exact()) {
-    const auto g = george_bound_scaled(ts);
+    const auto g = in.george_scaled();
     if (!g) return std::nullopt;
     return std::max(ts.max_deadline(), *g);
   }
   return std::max(ts.max_deadline(), to_inclusive_bound(b));
+}
+
+}  // namespace
+
+std::optional<Time> baruah_bound(const TaskSet& ts) {
+  BoundInputs in(ts);
+  return baruah(in);
+}
+
+std::optional<Time> george_bound(const TaskSet& ts) {
+  BoundInputs in(ts);
+  return george(in);
+}
+
+std::optional<Time> superposition_bound(const TaskSet& ts) {
+  BoundInputs in(ts);
+  return superposition(in);
 }
 
 std::optional<Time> busy_period(const TaskSet& ts, Time cap) {
@@ -167,10 +212,11 @@ Time implicit_test_bound(const TaskSet& ts) {
 }
 
 Time default_test_bound(const TaskSet& ts, bool include_busy_period) {
+  BoundInputs in(ts);
   Time best = kTimeInfinity;
-  if (const auto b = baruah_bound(ts)) best = std::min(best, *b);
-  if (const auto g = george_bound(ts)) best = std::min(best, *g);
-  if (const auto s = superposition_bound(ts)) best = std::min(best, *s);
+  if (const auto b = baruah(in)) best = std::min(best, *b);
+  if (const auto g = george(in)) best = std::min(best, *g);
+  if (const auto s = superposition(in)) best = std::min(best, *s);
   if (include_busy_period) {
     if (const auto l = busy_period(ts, best)) best = std::min(best, *l);
   }

@@ -17,7 +17,8 @@
 ///
 /// Nothing is cached on the `TaskSet` itself: a `PreparedSet` lives as
 /// long as one query. The lazy members are unsynchronized — call
-/// `prime()` before threads share one (the Portfolio policy does).
+/// `prime()` before threads share one (the Portfolio and Batch policies
+/// do, before they fork their backends).
 #pragma once
 
 #include <atomic>

@@ -83,8 +83,7 @@ void validate_params(TestKind kind, const BackendParams& params) {
     if (sp->level < 1) reject(kind, "superpos level must be >= 1");
   } else if (const auto* ck = std::get_if<ChakrabortyParams>(&params)) {
     // The floor keeps k = ceil(1/epsilon) within kMaxApproxLevel, which
-    // chakraborty_test would otherwise refuse mid-run (on a portfolio
-    // thread, where an exception ends the process).
+    // chakraborty_test would otherwise refuse mid-run.
     if (!(ck->epsilon >= 1.0 / static_cast<double>(kMaxApproxLevel)) ||
         !(ck->epsilon < 1.0)) {
       reject(kind, "epsilon must lie in [1/" +

@@ -1,12 +1,12 @@
 #include "query/query.hpp"
 
 #include <atomic>
-#include <condition_variable>
 #include <iomanip>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
+
+#include "util/fork_join.hpp"
 
 namespace edfkit {
 namespace {
@@ -240,6 +240,12 @@ Outcome Query::run(const WorkloadView& w) const {
     out.analysis = r;
   };
 
+  if (policy_ == ExecPolicy::Portfolio || policy_ == ExecPolicy::Batch) {
+    // The backends share the prepared set across the pool's threads: fill
+    // its lazy facts and the set's own caches here first, since they are
+    // unsynchronized mutables every backend would otherwise race to fill.
+    prepared.prime();
+  }
   switch (policy_) {
     case ExecPolicy::Single:
     case ExecPolicy::Ladder: {
@@ -255,33 +261,21 @@ Outcome Query::run(const WorkloadView& w) const {
       break;
     }
     case ExecPolicy::Portfolio: {
-      // Race: every backend on its own thread; completion order decides
-      // the winner. The first decisive finisher raises the stop token;
-      // the long-running exact backends poll it and return early with
-      // `cancelled`, so the race never pays for the slowest loser.
-      //
-      // Populate the prepared facts and the set's own lazy caches on
-      // this thread first: they are unsynchronized mutables, and every
-      // backend would otherwise race to fill them.
-      prepared.prime();
+      // Race: completion order decides the winner. The first decisive
+      // finisher raises the stop token; the long-running exact backends
+      // poll it and return early with `cancelled`, so the race never pays
+      // for the slowest loser.
       std::atomic<bool> stop{false};
       std::mutex m;
-      std::vector<BackendAttempt> done;
-      done.reserve(runnable.size());
-      std::vector<std::thread> threads;
-      threads.reserve(runnable.size());
-      for (const BackendSelection* sel : runnable) {
-        threads.emplace_back([&, sel] {
-          FeasibilityResult r = run_one(*sel, &stop);
-          if (decisive(r.verdict) && !r.cancelled) {
-            stop.store(true, std::memory_order_relaxed);
-          }
-          const std::lock_guard<std::mutex> lock(m);
-          done.push_back({sel->kind, std::move(r)});
-        });
-      }
-      for (std::thread& t : threads) t.join();
-      out.attempts = std::move(done);
+      out.attempts.reserve(runnable.size());
+      fork_join(runnable.size(), [&](std::size_t i) {
+        FeasibilityResult r = run_one(*runnable[i], &stop);
+        if (decisive(r.verdict) && !r.cancelled) {
+          stop.store(true, std::memory_order_relaxed);
+        }
+        const std::lock_guard<std::mutex> lock(m);
+        out.attempts.push_back({runnable[i]->kind, std::move(r)});
+      });
       for (const BackendAttempt& a : out.attempts) {
         out.analysis = a.result;
         if (decisive(a.result.verdict)) {
@@ -292,10 +286,11 @@ Outcome Query::run(const WorkloadView& w) const {
       break;
     }
     case ExecPolicy::Batch: {
-      for (const BackendSelection* sel : runnable) {
-        const FeasibilityResult r = run_one(*sel);
-        out.attempts.push_back({sel->kind, r});
-      }
+      // Each backend fills its own slot: attempts stay in selection order.
+      out.attempts.resize(runnable.size());
+      fork_join(runnable.size(), [&](std::size_t i) {
+        out.attempts[i] = {runnable[i]->kind, run_one(*runnable[i])};
+      });
       // Combined verdict: prefer the first decisive exact backend, then
       // any decisive backend (all sound, so decisive verdicts can only
       // disagree on an implementation bug — surfaced by the batch layer).

@@ -15,13 +15,21 @@
 ///              first decisive (Feasible/Infeasible) verdict — the online
 ///              admission controller's ladder is this policy over the
 ///              registry's incremental backends plus an exact fallback.
-///   Portfolio  race the selection on threads; the first decisive verdict
-///              wins and raises a stop token that the long-running exact
-///              backends observe, so losers return early (with
-///              `cancelled` set on their attempt) instead of running to
-///              completion.
-///   Batch      run every selected backend and report all verdicts (the
+///   Portfolio  race the selection concurrently; the first decisive
+///              verdict wins and raises a stop token that the
+///              long-running exact backends observe, so losers return
+///              early (with `cancelled` set on their attempt) instead of
+///              running to completion. Attempts are in completion order.
+///   Batch      run every selected backend concurrently and report all
+///              verdicts, attempts in selection order (the
 ///              comparison-table / batch-column workflow).
+///
+/// Portfolio and Batch run their backends on the process-wide fork-join
+/// pool (util/fork_join.hpp), the calling thread included. When the pool
+/// is busy with another query, the caller runs every backend itself, so
+/// concurrent queries never wait for one another; a backend's exception
+/// reaches the caller. Single and Ladder run on the calling thread alone
+/// and never start the pool.
 ///
 /// Backends that do not support the workload's kind are skipped under
 /// multi-backend policies (and rejected under Single) — capability
@@ -32,7 +40,8 @@
 /// flat demand columns and the per-task utilizations are derived once
 /// and read by every backend, and a feasibility certificate resumes the
 /// sweep of a FIFO all-approx attempt instead of repeating it. Nothing
-/// outlives the run.
+/// outlives the run. Queries on different threads must not share one
+/// TaskSet: it fills its own lazy caches unsynchronized.
 #pragma once
 
 #include <cstdint>
@@ -85,7 +94,8 @@ struct Outcome {
   TestKind decided_by = TestKind::LiuLayland;
   /// The deciding backend's instrumented result (last attempt otherwise).
   FeasibilityResult analysis;
-  /// Every backend that ran, in completion order.
+  /// Every backend that ran: in selection order under Single, Ladder and
+  /// Batch, in completion order under Portfolio.
   std::vector<BackendAttempt> attempts;
   /// Backends skipped because they do not support the workload kind.
   std::vector<TestKind> skipped;

@@ -109,6 +109,30 @@ TEST(Bounds, ScaledFallbackStaysFinite) {
   EXPECT_FALSE(is_time_infinite(default_test_bound(ts)));
 }
 
+TEST(Bounds, DefaultBoundIsTheClosedFormMinimumWhenTheRationalOverflows) {
+  // default_test_bound derives the scaled utilization and George's
+  // certified bound once for all three closed forms; on Fig. 8 sets,
+  // whose exact 1 - U overflows, it must still return the minimum of
+  // the three standalone bounds.
+  Rng rng(20050318);
+  int checked = 0;
+  for (int i = 0; checked < 200; ++i) {
+    ASSERT_LT(i, 2000) << "too few Fig. 8 sets overflow the rational";
+    const TaskSet ts = draw_fig8_set(rng, 0.90 + 0.01 * (i % 10));
+    Rational slack(Time{1});
+    slack -= ts.utilization();
+    if (slack.exact()) continue;
+    ++checked;
+    Time expected = kTimeInfinity;
+    for (const std::optional<Time>& b :
+         {baruah_bound(ts), george_bound(ts), superposition_bound(ts)}) {
+      if (b) expected = std::min(expected, *b);
+    }
+    if (is_time_infinite(expected)) expected = hyperperiod_bound(ts);
+    EXPECT_EQ(default_test_bound(ts), expected) << ts.to_string();
+  }
+}
+
 /// The defining property of a feasibility bound: no demand overflow at or
 /// beyond it. Verified against brute force on a window past the bound.
 class BoundSoundness : public ::testing::TestWithParam<std::uint64_t> {};
