@@ -1,6 +1,7 @@
 /// \file table1_literature.cpp
 /// Reproduces paper Table 1: iterations needed per feasibility test on
-/// the five literature task sets (reconstructed — see DESIGN.md §7).
+/// the five literature task sets. The paper does not print their
+/// parameters, so lit/literature.hpp reconstructs them.
 ///
 /// Paper values for reference:
 ///   set       | Devi  | Dyn | AllAppr | ProcDem

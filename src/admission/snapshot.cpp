@@ -96,7 +96,7 @@ void decode_v2_analyzer(ByteReader& r) {
   defaults &= r.i64() == dynamic.max_level;
   defaults &= decode_optional_time(r) == dynamic.bound;
   defaults &= decode_optional_time(r) == all_approx.bound;
-  defaults &= r.u8() == static_cast<std::uint8_t>(all_approx.revision);
+  defaults &= r.u8() == 0;  // all-approx revision order: FIFO
   defaults &= r.boolean() == pd.use_busy_period;
   defaults &= r.u64() == pd.max_iterations;
   if (!defaults) {

@@ -16,7 +16,7 @@
 /// `min(Dmax, ...)`, but its own derivation requires I >= D_max, so the
 /// sound closed form is `max` (for constrained deadlines the sum equals
 /// George's bound and dominates D_max in all non-trivial cases, so the
-/// distinction never matters in the paper's experiments). See DESIGN.md.
+/// distinction never matters in the paper's experiments).
 #pragma once
 
 #include <optional>

@@ -48,7 +48,7 @@ FeasibilityResult devi_test(const PreparedSet& ps) {
   // Condition per k (multiplied by D_k):  A * D_k + B <= D_k.
   ScaledPair a;
   ScaledPair b;
-  const auto& order = ts.by_deadline();
+  const auto& order = ps.by_deadline();
   const std::span<const ScaledPair> utils = ps.task_utils();
   for (std::size_t k = 0; k < order.size(); ++k) {
     const Task& t = ts[order[k]];

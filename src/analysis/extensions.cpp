@@ -62,7 +62,7 @@ FeasibilityResult srp_blocking_test(const TaskSet& ts,
   // B(I) is a non-increasing step function of I: precompute the tasks
   // sorted by deadline so the max over {D_j > I} can be maintained as a
   // suffix maximum while I sweeps upward.
-  const auto& order = ts.by_deadline();
+  const auto order = ts.by_deadline();
   const std::size_t n = order.size();
   std::vector<Time> suffix_max(n + 1, 0);
   for (std::size_t k = n; k-- > 0;) {

@@ -43,8 +43,13 @@ std::span<const ScaledPair> PreparedSet::task_utils() const {
   return *utils_;
 }
 
+const std::vector<std::size_t>& PreparedSet::by_deadline() const {
+  if (!by_deadline_) by_deadline_ = ts_.by_deadline();
+  return *by_deadline_;
+}
+
 void PreparedSet::prime() const {
-  (void)ts_.by_deadline();
+  (void)by_deadline();
   (void)utilization_class();
   (void)implicit_test_bound();
   (void)columns();
@@ -55,7 +60,7 @@ AllApproxSweep* PreparedSet::claim_sweep() const {
   if (sweep_claimed_.exchange(true, std::memory_order_relaxed)) {
     return nullptr;
   }
-  sweep_ = std::make_unique<AllApproxSweep>(*this, RevisionPolicy::Fifo);
+  sweep_ = std::make_unique<AllApproxSweep>(*this);
   return sweep_.get();
 }
 

@@ -11,9 +11,9 @@
 /// for the call, so both run the same body.
 ///
 /// It also holds the query's resumable all-approximated sweep
-/// (core/all_approx.hpp): the first FIFO all-approx run claims it, and
-/// the feasibility certificate drains that sweep instead of repeating
-/// it from scratch.
+/// (core/all_approx.hpp): the first all-approx run claims it, and the
+/// feasibility certificate drains that sweep instead of repeating it
+/// from scratch.
 ///
 /// Nothing is cached on the `TaskSet` itself: a `PreparedSet` lives as
 /// long as one query. The lazy members are unsynchronized — call
@@ -63,13 +63,14 @@ class PreparedSet {
   /// Per task, the certified S-scaled utilization scaled_task_util(t)
   /// that DemandAccumulator::approximate/revise take.
   [[nodiscard]] std::span<const ScaledPair> task_utils() const;
+  /// tasks().by_deadline(): task indices by non-decreasing deadline.
+  [[nodiscard]] const std::vector<std::size_t>& by_deadline() const;
 
-  /// Compute every lazy fact now, including the task set's own
-  /// utilization and deadline-order caches.
+  /// Compute every lazy fact now.
   void prime() const;
 
-  /// The query's all-approx sweep slot: a fresh FIFO sweep for the
-  /// first caller (safe to race), nullptr for every later one.
+  /// The query's all-approx sweep slot: a fresh sweep for the first
+  /// caller (safe to race), nullptr for every later one.
   [[nodiscard]] AllApproxSweep* claim_sweep() const;
   /// The claimed sweep when it can still be resumed (paused at its
   /// bound, cancelled, or drained), else nullptr. \pre no thread is
@@ -83,6 +84,7 @@ class PreparedSet {
   mutable std::optional<Time> implicit_bound_;
   mutable std::optional<TaskColumns> columns_;
   mutable std::optional<std::vector<ScaledPair>> utils_;
+  mutable std::optional<std::vector<std::size_t>> by_deadline_;
   mutable std::atomic<bool> sweep_claimed_{false};
   mutable std::unique_ptr<AllApproxSweep> sweep_;
 };

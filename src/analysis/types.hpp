@@ -34,7 +34,8 @@ struct FeasibilityResult {
   /// For the dynamic test: the final superposition level reached.
   Time final_level = 0;
   /// Set when exact rational arithmetic degraded and a conservative
-  /// fallback path ran (verdicts remain sound; see DESIGN.md §3).
+  /// fallback path ran (verdicts remain sound: an undecided comparison
+  /// counts as demand above capacity).
   bool degraded = false;
   /// Set when the test observed a cooperative stop token and returned
   /// early (verdict is then Unknown) — portfolio losers report this.

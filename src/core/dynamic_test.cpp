@@ -2,18 +2,36 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <vector>
 
-#include "demand/accumulator.hpp"
-#include "demand/intervals.hpp"
-#include "demand/task_view.hpp"
+#include "core/demand_sweep.hpp"
 
 namespace edfkit {
 namespace {
 
-Time grown(Time level, Time factor) {
-  return std::max(level + 1, mul_saturating(level, factor));
-}
+/// Fig. 5: every task is tested exactly up to the deadline of its
+/// level-th job. When the demand exceeds an interval, the level grows
+/// until some approximated task's new border passes it, and every such
+/// task's approximation is withdrawn.
+struct LevelGrowth {
+  const TaskColumns& cols;
+  const DynamicTestOptions& opts;
+  Time level;
+
+  [[nodiscard]] Time border(std::size_t task) const {
+    return row_approx_border(cols, task, level);
+  }
+  bool revise(DemandSweep& sweep, Time point) {
+    const auto passes = [&](std::size_t task) { return border(task) > point; };
+    // Bounded: borders grow without limit.
+    do {
+      level = std::max(level + 1, mul_saturating(level, opts.growth_factor));
+      if (opts.max_level != 0 && level > opts.max_level) return false;
+    } while (std::none_of(sweep.approximations().begin(),
+                          sweep.approximations().end(), passes));
+    sweep.withdraw_if(passes);
+    return true;
+  }
+};
 
 }  // namespace
 
@@ -24,128 +42,14 @@ FeasibilityResult dynamic_error_test(const PreparedSet& ps,
   if (opts.growth_factor < 1)
     throw std::invalid_argument("dynamic_error_test: growth_factor < 1");
 
-  FeasibilityResult r;
-  if (ps.empty()) {
-    r.verdict = Verdict::Feasible;
-    return r;
-  }
-  if (ps.utilization_exceeds_one()) {
-    r.verdict = Verdict::Infeasible;
-    r.iterations = 1;
-    return r;
-  }
-
-  const Time imax = opts.bound ? *opts.bound : ps.implicit_test_bound();
-  Time level = opts.initial_level;
-
-  // The revision loops below only read wcet / effective deadline /
-  // period — stream them from the prepared flat columns instead of
-  // re-indexing the 80-byte Task structs every iteration. The
-  // accumulator's refresh stages keep the TaskSet (cold path).
-  const TaskSet& ts = ps.tasks();
-  const TaskColumns& cols = ps.columns();
-  const std::span<const ScaledPair> utils = ps.task_utils();
-  TestList list;
-  std::vector<bool> approximated(ts.size(), false);
-  std::vector<std::size_t> approx_members;  // tasks currently approximated
-  std::vector<std::size_t> revised;  // withdrawn by one level growth
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    list.add(i, cols.deadline[i]);
-  }
-
-  DemandAccumulator acc;
-  Time iold = 0;
-
-  // One testlist entry per iteration (paper Fig. 5): pop (tau, Iact),
-  // account the job, then fix up the level until the demand fits.
-  while (!list.empty() && list.peek().interval <= imax) {
-    if (opts.stop != nullptr && opts.stop->load(std::memory_order_relaxed)) {
-      r.verdict = Verdict::Unknown;
-      r.cancelled = true;
-      r.final_level = level;
-      return r;
-    }
-    // The entry stays on top until the post-step: revisions below only
-    // add deadlines strictly after `point`.
-    const auto entry = list.peek();
-    const Time point = entry.interval;
-    acc.advance(point - iold);
-    acc.add_job(cols.wcet[entry.task]);
-    ++r.iterations;
-    r.max_interval_tested = point;
-
-    // Inner loop: raise the level until the demand fits or nothing is
-    // approximated any more.
-    while (true) {
-      bool cmp_degraded = false;
-      const Ordering cmp =
-          acc.compare_with_refresh(ts, approximated, point, &cmp_degraded);
-      r.degraded = r.degraded || cmp_degraded;
-      if (cmp != Ordering::Greater) break;
-
-      if (approx_members.empty()) {
-        if (cmp_degraded) {
-          // Defensive: with nothing approximated the value is an exact
-          // integer sum, so this branch should be unreachable.
-          r.verdict = Verdict::Unknown;
-          return r;
-        }
-        r.verdict = Verdict::Infeasible;  // exact dbf(point) > point
-        r.witness = point;
-        r.final_level = level;
-        return r;
-      }
-
-      // Grow the level until at least one approximated task's new border
-      // moves beyond `point` (bounded: borders grow without limit).
-      revised.clear();
-      while (revised.empty()) {
-        level = grown(level, opts.growth_factor);
-        if (opts.max_level != 0 && level > opts.max_level) {
-          r.verdict = Verdict::Unknown;  // cap hit: sufficient-mode reject
-          r.final_level = level;
-          return r;
-        }
-        for (const std::size_t ti : approx_members) {
-          if (row_approx_border(cols, ti, level) > point) {
-            revised.push_back(ti);
-          }
-        }
-      }
-      for (const std::size_t ti : revised) {
-        acc.revise(utils[ti], scaled_app(ts[ti], point));
-        approximated[ti] = false;
-        ++r.revisions;
-        const Time nxt = row_next_deadline_after(cols, ti, point);
-        if (!is_time_infinite(nxt)) list.add(ti, nxt);
-      }
-      approx_members.erase(
-          std::remove_if(approx_members.begin(), approx_members.end(),
-                         [&](std::size_t ti) { return !approximated[ti]; }),
-          approx_members.end());
-    }
-
-    // Post-step (paper: "IF Iact < Testboarder(tau)"): keep testing the
-    // popped task exactly below its border, re-armed in place at its next
-    // deadline; approximate at/after it.
-    {
-      const std::size_t ti = entry.task;
-      if (point < row_approx_border(cols, ti, level)) {
-        list.rearm_top(cols.period[ti]);
-      } else {
-        list.pop();
-        acc.approximate(utils[ti]);
-        approximated[ti] = true;
-        approx_members.push_back(ti);
-      }
-    }
-    iold = point;
-  }
-
-  // Either every task is approximated and all change points passed, or
-  // the walk crossed the feasibility bound: feasible both ways.
-  r.verdict = Verdict::Feasible;
-  r.final_level = level;
+  if (auto r = DemandSweep::precheck(ps)) return *r;
+  LevelGrowth policy{ps.columns(), opts, opts.initial_level};
+  DemandSweep sweep(ps);
+  // Bound or drained: every change point passed, or the walk crossed the
+  // feasibility bound. Rejected: the level cap's sufficient-mode reject.
+  FeasibilityResult r = sweep.result(sweep.run(
+      policy, opts.bound ? *opts.bound : ps.implicit_test_bound(), opts.stop));
+  r.final_level = policy.level;
   return r;
 }
 

@@ -18,6 +18,10 @@
 ///
 /// Task sets accepted by Devi's test complete entirely on level 1 with
 /// one iteration per task — the paper's headline property.
+///
+/// The walk is the shared demand sweep (core/demand_sweep.hpp): one
+/// interval per iteration, every job due there counted before the
+/// comparison. `iterations` still counts test-list entries.
 #pragma once
 
 #include <atomic>

@@ -12,6 +12,10 @@
 /// cross-validation suite asserts this on random workloads. SuperPos(k)
 /// is Chakraborty's epsilon-test at epsilon = 1/k, and
 /// `chakraborty_test` runs this same sweep.
+///
+/// The walk is the shared demand sweep (core/demand_sweep.hpp) with
+/// nothing to revise: one interval per iteration, every job due there
+/// counted before the comparison.
 #pragma once
 
 #include "analysis/prepared.hpp"
@@ -30,7 +34,6 @@ struct SuperPosSweep {
 
 /// \pre level >= 1
 [[nodiscard]] SuperPosSweep superpos_sweep(const PreparedSet& ps, Time level);
-[[nodiscard]] SuperPosSweep superpos_sweep(const TaskSet& ts, Time level);
 
 /// Run SuperPos(level). Sufficient: Feasible on acceptance, Infeasible
 /// only via the exact U > 1 precheck, Unknown on rejection.

@@ -107,10 +107,6 @@ double DemandAccumulator::demand_estimate() const noexcept {
   return static_cast<double>(dhi_) / static_cast<double>(kS);
 }
 
-double DemandAccumulator::ready_utilization_estimate() const noexcept {
-  return static_cast<double>(uhi_) / static_cast<double>(kS);
-}
-
 ScaledDemand recompute_demand_scaled(const TaskSet& ts,
                                      const std::vector<bool>& approximated,
                                      Time interval) {

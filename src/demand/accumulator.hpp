@@ -1,6 +1,7 @@
 /// \file accumulator.hpp
-/// Incremental approximated-demand accumulator shared by the dynamic-error
-/// and all-approximated tests (paper Figs. 5 & 7).
+/// Incremental approximated-demand accumulator under the demand sweep
+/// (core/demand_sweep.hpp) of the dynamic-error, all-approximated and
+/// superposition tests (paper Figs. 5 & 7, §3.4).
 ///
 /// The algorithms walk test intervals in ascending order and maintain
 ///   dbf'  +=  C_tau  +  (I_act - I_old) * U_ready
@@ -8,7 +9,7 @@
 /// Revising a task's approximation subtracts the Lemma-6 overestimation
 /// app(I, tau).
 ///
-/// Exactness strategy (DESIGN.md §3): the running value is kept as a
+/// Exactness strategy: the running value is kept as a
 /// *certified interval* in 2^-62 fixed point — int128 floor/ceil bounds
 /// that each operation widens by at most one unit. Comparisons against
 /// the capacity line are therefore proofs whenever the interval clears
@@ -56,17 +57,15 @@ class DemandAccumulator {
   /// of the bounds from (ts, approximated), then exact rationals. Sets
   /// *degraded when even the rationals could not decide (the returned
   /// Greater is then conservative, which only costs extra revisions).
-  /// \pre `interval` is the accumulator's current frontier and
-  /// `approximated` describes the state the incremental value models —
-  /// the refresh stages recompute the demand *at that interval*.
+  /// \pre `interval` is the accumulator's current frontier, every job due
+  /// at `interval` has been added, and `approximated` describes the state
+  /// the incremental value models.
   [[nodiscard]] Ordering compare_with_refresh(
       const TaskSet& ts, const std::vector<bool>& approximated,
       Time interval, bool* degraded);
 
   /// Best-effort value for diagnostics.
   [[nodiscard]] double demand_estimate() const noexcept;
-  /// Best-effort slope (utilization of approximated tasks).
-  [[nodiscard]] double ready_utilization_estimate() const noexcept;
 
  private:
   // S-scaled certified bounds: dlo_ <= dbf' * S <= dhi_, and the same

@@ -4,6 +4,7 @@
 /// (the classic processor-demand test's interval stream).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -41,6 +42,15 @@ class TestList {
   [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
   /// The entry `pop` would return. \pre !empty()
   [[nodiscard]] const Entry& peek() const { return heap_.front(); }
+  /// Calls `f(entry)` for every entry whose interval equals the least
+  /// one, in no particular order and without popping, and returns how
+  /// many there were. Heap order puts all of them in one subtree under
+  /// the root: a tied entry's parent is no greater and no less than it.
+  /// \pre !empty()
+  template <class F>
+  std::size_t for_each_tied(F&& f) const {
+    return visit_tied(0, f);
+  }
   /// Remove and return the least entry. \pre !empty()
   Entry pop() {
     const Entry top = heap_.front();
@@ -70,6 +80,18 @@ class TestList {
   }
 
  private:
+  /// Visits the tied entry at `i` and the tied entries below it; only a
+  /// tied child costs a call.
+  template <class F>
+  std::size_t visit_tied(std::size_t i, F& f) const {
+    f(heap_[i]);
+    std::size_t n = 1;
+    const std::size_t end = std::min(2 * i + 3, heap_.size());
+    for (std::size_t c = 2 * i + 1; c < end; ++c) {
+      if (heap_[c].interval == heap_[i].interval) n += visit_tied(c, f);
+    }
+    return n;
+  }
   /// Moves the entry at `hole` up to its place, shifting parents down
   /// into the hole instead of swapping.
   void sift_up(std::size_t hole) {

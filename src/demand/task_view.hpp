@@ -132,7 +132,7 @@ class TaskView {
   /// Dense hot columns, rows [0, size()).
   [[nodiscard]] const TaskColumns& columns() const noexcept { return cols_; }
   /// The canonical task set, zero-copy (rows in dense order). Stays
-  /// valid across add/remove; per-set caches recompute lazily.
+  /// valid across add/remove, its exact utilization kept current.
   [[nodiscard]] const TaskSet& as_task_set() const noexcept { return aos_; }
   /// Dense task rows (full structs, for cold fields).
   [[nodiscard]] std::span<const Task> tasks() const noexcept {

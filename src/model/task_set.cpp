@@ -14,26 +14,26 @@ TaskSet::TaskSet(std::vector<Task> tasks) : tasks_(std::move(tasks)) {
 void TaskSet::add(Task t) {
   t.validate();
   tasks_.push_back(std::move(t));
-  invalidate_caches();
+  changed();
 }
 
 void TaskSet::swap_remove(std::size_t i) {
   tasks_[i] = std::move(tasks_.back());
   tasks_.pop_back();
-  invalidate_caches();
-}
-
-void TaskSet::invalidate_caches() noexcept {
-  util_valid_ = false;
-  sorted_valid_ = false;
+  changed();
 }
 
 const Rational& TaskSet::utilization() const {
-  if (!util_valid_) {
-    Rational u;
-    for (const Task& t : tasks_) u += t.utilization();
-    util_ = u;
-    util_valid_ = true;
+  // Double-checked: concurrent readers of one set sum it once, under the
+  // lock; the release store publishes the sum to every later reader.
+  if (!util_ready_.load(std::memory_order_acquire)) {
+    const std::lock_guard<std::mutex> lock(util_mu_);
+    if (!util_ready_.load(std::memory_order_relaxed)) {
+      Rational u;
+      for (const Task& t : tasks_) u += t.utilization();
+      util_ = u;
+      util_ready_.store(true, std::memory_order_release);
+    }
   }
   return util_;
 }
@@ -87,25 +87,15 @@ bool TaskSet::constrained_deadlines() const {
   });
 }
 
-const std::vector<std::size_t>& TaskSet::by_deadline() const {
-  if (!sorted_valid_) {
-    sorted_idx_.resize(tasks_.size());
-    std::iota(sorted_idx_.begin(), sorted_idx_.end(), std::size_t{0});
-    std::stable_sort(sorted_idx_.begin(), sorted_idx_.end(),
-                     [this](std::size_t a, std::size_t b) {
-                       return tasks_[a].effective_deadline() <
-                              tasks_[b].effective_deadline();
-                     });
-    sorted_valid_ = true;
-  }
-  return sorted_idx_;
-}
-
-TaskSet TaskSet::sorted_by_deadline() const {
-  std::vector<Task> out;
-  out.reserve(tasks_.size());
-  for (std::size_t i : by_deadline()) out.push_back(tasks_[i]);
-  return TaskSet(std::move(out));
+std::vector<std::size_t> TaskSet::by_deadline() const {
+  std::vector<std::size_t> order(tasks_.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [this](std::size_t a, std::size_t b) {
+                     return tasks_[a].effective_deadline() <
+                            tasks_[b].effective_deadline();
+                   });
+  return order;
 }
 
 TaskSet TaskSet::scaled(Time factor) const {

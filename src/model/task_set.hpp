@@ -1,9 +1,12 @@
 /// \file task_set.hpp
-/// A task set Gamma = {tau_1 .. tau_n} with cached aggregate quantities
-/// (exact utilization, max deadline, hyperperiod) used by every test.
+/// A task set Gamma = {tau_1 .. tau_n} and the aggregate quantities
+/// (exact utilization, max deadline, hyperperiod) every test reads.
+/// Const member functions are safe to call from several threads at once.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -17,13 +20,28 @@ class TaskSet {
  public:
   TaskSet() = default;
   explicit TaskSet(std::vector<Task> tasks);
+  // Copies and moves leave the utilization sum behind: the mutex cannot
+  // be copied, and the next utilization() call sums again.
+  TaskSet(const TaskSet& o) : tasks_(o.tasks_) {}
+  TaskSet(TaskSet&& o) noexcept : tasks_(std::move(o.tasks_)) { o.changed(); }
+  TaskSet& operator=(const TaskSet& o) {
+    tasks_ = o.tasks_;
+    changed();
+    return *this;
+  }
+  TaskSet& operator=(TaskSet&& o) noexcept {
+    tasks_ = std::move(o.tasks_);
+    changed();
+    o.changed();
+    return *this;
+  }
 
-  /// Append one task (invalidates caches). \throws on invalid task.
+  /// Append one task. \throws on invalid task.
   void add(Task t);
 
-  /// Remove the task at index `i` in O(1) by swapping the last task into
-  /// its place (invalidates caches; does not preserve order). The online
-  /// containers (demand/task_view.hpp) use this to keep the set dense.
+  /// Remove the task at index `i` by swapping the last task into its
+  /// place (does not preserve order). The online containers
+  /// (demand/task_view.hpp) use this to keep the set dense.
   /// \pre i < size()
   void swap_remove(std::size_t i);
 
@@ -41,7 +59,8 @@ class TaskSet {
   [[nodiscard]] auto begin() const noexcept { return tasks_.begin(); }
   [[nodiscard]] auto end() const noexcept { return tasks_.end(); }
 
-  /// Exact total utilization Sigma C_i/T_i.
+  /// Exact total utilization Sigma C_i/T_i, summed on the first call
+  /// after a change: an online add or remove pays nothing for it.
   [[nodiscard]] const Rational& utilization() const;
   [[nodiscard]] double utilization_double() const;
 
@@ -63,12 +82,9 @@ class TaskSet {
   /// published bounds are only valid under this restriction.
   [[nodiscard]] bool constrained_deadlines() const;
 
-  /// Indices sorted by non-decreasing effective deadline (Devi's test and
-  /// the superposition seeds want this order).
-  [[nodiscard]] const std::vector<std::size_t>& by_deadline() const;
-
-  /// A copy with tasks sorted by non-decreasing effective deadline.
-  [[nodiscard]] TaskSet sorted_by_deadline() const;
+  /// Indices sorted by non-decreasing effective deadline, computed on
+  /// each call (a query reads it once through PreparedSet::by_deadline).
+  [[nodiscard]] std::vector<std::size_t> by_deadline() const;
 
   /// Multiply all C, D, T, J by `factor` (model refinement to finer time
   /// granularity). Saturating; \pre factor > 0.
@@ -85,15 +101,15 @@ class TaskSet {
   }
 
  private:
-  void invalidate_caches() noexcept;
+  /// The tasks changed: the next utilization() sums them again.
+  void changed() noexcept {
+    util_ready_.store(false, std::memory_order_relaxed);
+  }
 
   std::vector<Task> tasks_;
-
-  // Lazy caches (mutable: logically const accessors).
-  mutable bool util_valid_ = false;
+  mutable std::mutex util_mu_;  // guards filling util_
+  mutable std::atomic<bool> util_ready_{false};
   mutable Rational util_;
-  mutable bool sorted_valid_ = false;
-  mutable std::vector<std::size_t> sorted_idx_;
 };
 
 }  // namespace edfkit

@@ -401,6 +401,11 @@ Certificate make_infeasibility_certificate(const FeasibilityResult& r) {
   return c;
 }
 
+bool infeasibility_holds(const TaskSet& ts, const FeasibilityResult& r) {
+  return r.verdict != Verdict::Infeasible ||
+         verify(ts, make_infeasibility_certificate(r)).valid;
+}
+
 std::optional<Certificate> build_feasibility_certificate(
     const PreparedSet& ps, std::uint64_t step_cap) {
   Certificate cert;
@@ -410,15 +415,15 @@ std::optional<Certificate> build_feasibility_certificate(
     return std::nullopt;
   }
 
-  // The all-approximated sweep (paper Fig. 7, FIFO revision) run to
-  // test-list drain — not to a bound — so the recorded per-task borders
-  // cover every point the checker will regenerate. A FIFO all-approx
-  // run earlier in the query left its sweep in `ps`; the sweep is
-  // deterministic, so draining it gives the borders a fresh drain
-  // would, and the steps it already took count against `step_cap`.
+  // The all-approximated sweep (paper Fig. 7) run to test-list drain —
+  // not to a bound — so the recorded per-task borders cover every point
+  // the checker will regenerate. An all-approx run earlier in the query
+  // left its sweep in `ps`; the sweep is deterministic, so draining it
+  // gives the borders a fresh drain would, and the steps it already
+  // took count against `step_cap`.
   std::optional<AllApproxSweep> own;
   AllApproxSweep* sweep = ps.resumable_sweep();
-  if (sweep == nullptr) sweep = &own.emplace(ps, RevisionPolicy::Fifo);
+  if (sweep == nullptr) sweep = &own.emplace(ps);
   const AllApproxSweep::Stop stop =
       sweep->steps() > step_cap
           ? AllApproxSweep::Stop::StepCap

@@ -149,12 +149,17 @@ inline constexpr std::uint64_t kDefaultVerifyPointCap = 1u << 22;
 [[nodiscard]] Certificate make_infeasibility_certificate(
     const FeasibilityResult& r);
 
+/// False when `r` is an Infeasible whose evidence fails on `ts`: exact
+/// dbf(witness) > witness, or U > 1 provable without a witness. O(n).
+[[nodiscard]] bool infeasibility_holds(const TaskSet& ts,
+                                       const FeasibilityResult& r);
+
 /// Construct a feasibility certificate for a provably feasible set by an
 /// all-approximated superposition sweep that records per-task borders
-/// (core/all_approx.hpp's `AllApproxSweep`, drained). When a FIFO
+/// (core/all_approx.hpp's `AllApproxSweep`, drained). When an
 /// all_approx_test already ran on `ps`, its sweep is resumed rather
 /// than repeated; the result is the same either way. Falls back to the
-/// exhaustive form when the sweep's pops plus revisions exceed
+/// exhaustive form when the sweep's entries plus revisions exceed
 /// `step_cap` (near U = 1 the drain can revise long past the bound,
 /// even on small sets). Returns
 /// nullopt when the set is not provably feasible (never emits an

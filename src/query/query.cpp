@@ -229,8 +229,16 @@ Outcome Query::run(const WorkloadView& w) const {
   const auto run_one = [&](const BackendSelection& sel,
                            const std::atomic<bool>* stop = nullptr) {
     const BackendInfo* info = reg.find(sel.kind);
-    return info->run(prepared, platform_,
-                     arm_stop(apply_limits(sel.params, limits_), stop));
+    FeasibilityResult r = info->run(
+        prepared, platform_, arm_stop(apply_limits(sel.params, limits_), stop));
+    // An Infeasible whose evidence fails is a backend defect, never a
+    // verdict: check it before the attempt can settle anything.
+    if (platform_.uniprocessor() && !infeasibility_holds(ts, r)) {
+      r.verdict = Verdict::Unknown;
+      r.witness = -1;
+      r.degraded = true;
+    }
+    return r;
   };
 
   const auto settle = [&](TestKind kind, const FeasibilityResult& r) {
@@ -242,8 +250,8 @@ Outcome Query::run(const WorkloadView& w) const {
 
   if (policy_ == ExecPolicy::Portfolio || policy_ == ExecPolicy::Batch) {
     // The backends share the prepared set across the pool's threads: fill
-    // its lazy facts and the set's own caches here first, since they are
-    // unsynchronized mutables every backend would otherwise race to fill.
+    // its lazy facts here first, since they are unsynchronized mutables
+    // every backend would otherwise race to fill.
     prepared.prime();
   }
   switch (policy_) {

@@ -39,9 +39,9 @@
 /// (analysis/prepared.hpp): the utilization class, the test bounds, the
 /// flat demand columns and the per-task utilizations are derived once
 /// and read by every backend, and a feasibility certificate resumes the
-/// sweep of a FIFO all-approx attempt instead of repeating it. Nothing
-/// outlives the run. Queries on different threads must not share one
-/// TaskSet: it fills its own lazy caches unsynchronized.
+/// sweep of an all-approx attempt instead of repeating it. Nothing
+/// outlives the run, and queries on different threads may share one
+/// TaskSet: nothing in it is filled in lazily.
 #pragma once
 
 #include <cstdint>

@@ -4,8 +4,8 @@
 /// A ScaledPair holds integer floor/ceil bounds of x * kFixedPointScale
 /// for a non-negative real x. Sums of pairs bound sums of reals; each
 /// rounding step widens the interval by at most one unit (2^-62), so
-/// comparisons that clear a scaled threshold are *proofs*. See
-/// DESIGN.md §3.
+/// comparisons that clear a scaled threshold are *proofs*; one the
+/// interval straddles is left to exact rationals, never to rounding.
 #pragma once
 
 #include "util/math.hpp"

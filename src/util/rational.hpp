@@ -126,9 +126,4 @@ class Rational {
   bool exact_ = true;
 };
 
-/// Shorthand: utilization C/T of one task.
-[[nodiscard]] inline Rational make_ratio(Time num, Time den) {
-  return Rational(num, den);
-}
-
 }  // namespace edfkit

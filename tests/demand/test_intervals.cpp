@@ -47,6 +47,33 @@ TEST(TestList, ReplaceTopOnOneElementList) {
   EXPECT_TRUE(list.empty());
 }
 
+TEST(TestList, ForEachTiedVisitsExactlyTheLeastInterval) {
+  // Random heaps with heavy ties: the visit must see every entry due at
+  // the least interval once, and nothing else, without popping.
+  Rng rng(17);
+  for (int trial = 0; trial < 500; ++trial) {
+    TestList list;
+    std::multiset<std::pair<Time, std::size_t>> all;
+    const int n = static_cast<int>(rng.uniform_time(1, 60));
+    for (int i = 0; i < n; ++i) {
+      const Time at = rng.uniform_time(1, 4);
+      list.add(static_cast<std::size_t>(i), at);
+      all.insert({at, static_cast<std::size_t>(i)});
+    }
+    const Time least = all.begin()->first;
+    std::set<std::size_t> seen;
+    const std::size_t count = list.for_each_tied([&](const auto& e) {
+      EXPECT_EQ(e.interval, least);
+      EXPECT_TRUE(seen.insert(e.task).second) << "visited twice";
+    });
+    EXPECT_EQ(count, seen.size());
+    EXPECT_EQ(count, static_cast<std::size_t>(std::count_if(
+                         all.begin(), all.end(),
+                         [&](const auto& p) { return p.first == least; })));
+    EXPECT_EQ(list.size(), static_cast<std::size_t>(n));
+  }
+}
+
 /// Differential: seeded random interleavings of add / pop / peek /
 /// replace_top / rearm_top against a std::priority_queue reference,
 /// with heavy interval ties (task index breaks them), sizes up to 200

@@ -12,6 +12,7 @@
 #include "core/dynamic_test.hpp"
 #include "lit/literature.hpp"
 #include "model/io.hpp"
+#include "query/query.hpp"
 
 namespace edfkit {
 namespace {
@@ -96,6 +97,49 @@ TEST(Regression, WitnessPin) {
   EXPECT_EQ(processor_demand_test(bad).witness, 22);
   EXPECT_EQ(all_approx_test(bad).witness, 22);
   EXPECT_EQ(dynamic_error_test(bad).witness, 22);
+}
+
+TEST(Regression, TiedDeadlinesAreCountedOnce) {
+  // Feasible sets where two tasks share a job deadline at which the
+  // approximated demand meets the capacity exactly. Comparing after the
+  // first of the tied jobs, the sweeps once refreshed the demand with
+  // the second job already in, then added it again: all-approx answered
+  // Infeasible on the first two (witness 14 on the first), dynamic-error
+  // on the last two (witnesses 18 and 36).
+  struct Case {
+    const char* name;
+    TaskSet ts;
+    std::uint64_t dyn_iterations;
+    std::uint64_t dyn_revisions;
+    std::uint64_t aa_iterations;
+    std::uint64_t aa_revisions;
+  };
+  const Case cases[] = {
+      {"golden_pool()[217]", testing::golden_pool()[217], 16, 3, 16, 11},
+      {"tie at 13", set_of({tk(8, 8, 10), tk(1, 13, 20), tk(1, 13, 16)}), 4,
+       1, 4, 3},
+      {"tie at 36",
+       set_of({tk(9, 36, 48), tk(2, 6, 8), tk(2, 17, 30), tk(2, 36, 60),
+               tk(1, 3, 6), tk(1, 9, 12), tk(2, 6, 12)}),
+       51, 6, 25, 19},
+  };
+  for (const Case& c : cases) {
+    EXPECT_TRUE(processor_demand_test(c.ts).feasible()) << c.name;
+    const FeasibilityResult dyn = dynamic_error_test(c.ts);
+    EXPECT_TRUE(dyn.feasible()) << c.name;
+    EXPECT_EQ(dyn.iterations, c.dyn_iterations) << c.name;
+    EXPECT_EQ(dyn.revisions, c.dyn_revisions) << c.name;
+    const FeasibilityResult aa = all_approx_test(c.ts);
+    EXPECT_TRUE(aa.feasible()) << c.name;
+    EXPECT_EQ(aa.iterations, c.aa_iterations) << c.name;
+    EXPECT_EQ(aa.revisions, c.aa_revisions) << c.name;
+
+    const Outcome out = Query::portfolio().run(c.ts);
+    EXPECT_TRUE(out.feasible()) << c.name;
+    EXPECT_EQ(out.certificate.kind, CertificateKind::FeasibleBorders)
+        << c.name;
+    EXPECT_TRUE(verify(c.ts, out.certificate).valid) << c.name;
+  }
 }
 
 TEST(Regression, GeneratorStability) {

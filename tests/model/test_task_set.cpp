@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "../helpers.hpp"
 
 namespace edfkit {
@@ -66,10 +68,6 @@ TEST(TaskSet, ByDeadlineIsStableSorted) {
   EXPECT_EQ(idx[0], 1u);
   EXPECT_EQ(idx[1], 0u);  // ties keep original order (stable)
   EXPECT_EQ(idx[2], 2u);
-  const TaskSet sorted = ts.sorted_by_deadline();
-  EXPECT_EQ(sorted[0].deadline, 3);
-  EXPECT_EQ(sorted[1].deadline, 9);
-  EXPECT_EQ(sorted[2].deadline, 9);
 }
 
 TEST(TaskSet, ScaledMultipliesEverything) {
@@ -96,6 +94,40 @@ TEST(TaskSet, UtilizationStaysExactForManySharedFactorPeriods) {
     ts.add(tk(1, 50 + i % 20, 100 + 10 * (i % 10)));
   }
   EXPECT_TRUE(ts.utilization().exact());
+}
+
+TEST(TaskSet, UtilizationStaysCurrentThroughChurn) {
+  // add and swap_remove keep the exact sum equal to a fresh one.
+  Rng rng(5);
+  TaskSet ts;
+  for (int op = 0; op < 2000; ++op) {
+    if (!ts.empty() && rng.bernoulli(0.45)) {
+      ts.swap_remove(static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(ts.size()) - 1)));
+    } else {
+      // Periods divide 240, so the exact sum never overflows.
+      constexpr std::array<Time, 6> kPeriods = {40, 48, 60, 80, 120, 240};
+      ts.add(tk(rng.uniform_time(1, 5), 40,
+                kPeriods[static_cast<std::size_t>(rng.uniform_int(0, 5))]));
+    }
+    const TaskSet fresh(std::vector<Task>(ts.begin(), ts.end()));
+    ASSERT_TRUE(ts.utilization().exact());
+    ASSERT_EQ(ts.utilization(), fresh.utilization()) << "op " << op;
+  }
+}
+
+TEST(TaskSet, UtilizationTurnsExactAgainAfterOverflow) {
+  // Four near-coprime periods around 10^6 overflow the exact sum (its
+  // denominator passes 2^63); after a removal the three that are left
+  // sum exactly again.
+  constexpr Time kBase = 1'000'000;
+  TaskSet ts;
+  for (Time k = 1; k <= 4; ++k) ts.add(tk(1, kBase + k, kBase + k));
+  ASSERT_FALSE(ts.utilization().exact());
+  ts.swap_remove(0);
+  ASSERT_TRUE(ts.utilization().exact());
+  EXPECT_EQ(ts.utilization(),
+            TaskSet(std::vector<Task>(ts.begin(), ts.end())).utilization());
 }
 
 }  // namespace

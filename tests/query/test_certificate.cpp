@@ -13,6 +13,7 @@
 namespace edfkit {
 namespace {
 
+using testing::golden_pool;
 using testing::paper_random_sets;
 using testing::set_of;
 using testing::small_random_sets;
@@ -184,6 +185,36 @@ void expect_same(const std::optional<Certificate>& got,
   EXPECT_EQ(got->borders, want->borders) << ts.to_string();
 }
 
+TEST(InfeasibilityCheck, RejectsAWitnessTheExactDemandDoesNotExceed) {
+  // golden_pool()[217] is feasible and dbf(14) == 14: an Infeasible with
+  // witness 14 (what all-approx once answered there) must not hold.
+  const TaskSet ts = golden_pool()[217];
+  ASSERT_EQ(dbf(ts, 14), 14);
+  FeasibilityResult r;
+  r.verdict = Verdict::Infeasible;
+  r.witness = 14;
+  EXPECT_FALSE(infeasibility_holds(ts, r));
+  // Without a witness the claim is U > 1, which this set does not have.
+  r.witness = -1;
+  EXPECT_FALSE(infeasibility_holds(ts, r));
+  // Other verdicts carry no infeasibility claim.
+  r.verdict = Verdict::Feasible;
+  EXPECT_TRUE(infeasibility_holds(ts, r));
+
+  // A real witness and a real overload both hold.
+  const TaskSet bad = set_of({tk(3, 4, 8), tk(5, 10, 12), tk(5, 16, 24)});
+  r.verdict = Verdict::Infeasible;
+  r.witness = 22;
+  EXPECT_TRUE(infeasibility_holds(bad, r));
+  r.witness = -1;
+  EXPECT_TRUE(infeasibility_holds(set_of({tk(3, 4, 4), tk(2, 5, 5)}), r));
+
+  // And the query reports what the set bears out.
+  const Outcome out = Query::portfolio().run(ts);
+  EXPECT_TRUE(out.feasible());
+  EXPECT_TRUE(verify(ts, out.certificate).valid);
+}
+
 /// Fig. 8-sized and small sets near U = 1, where revisions are common.
 std::vector<TaskSet> resume_pool() {
   std::vector<TaskSet> pool = paper_random_sets(24, 0.97, /*seed=*/5);
@@ -195,11 +226,11 @@ std::vector<TaskSet> resume_pool() {
   return pool;
 }
 
-/// Steps a fresh FIFO sweep takes to drain `ts`, when it drains within
+/// Steps a fresh sweep takes to drain `ts`, when it drains within
 /// the default certificate step cap.
 std::optional<std::uint64_t> drain_steps(const TaskSet& ts) {
   const PreparedSet ps(ts);
-  AllApproxSweep sweep(ps, RevisionPolicy::Fifo);
+  AllApproxSweep sweep(ps);
   if (sweep.run(AllApproxSweep::kNoBound, nullptr,
                 ResourceLimits{}.certificate_step_cap) !=
       AllApproxSweep::Stop::Drained) {
@@ -315,27 +346,6 @@ TEST(CertificateResume, StepCapTripsMidResumeToTheExhaustiveForm) {
   // Most runs drain before their bound; the pool must still hold sets
   // that revise past it.
   EXPECT_GT(mid_resume, 0u);
-}
-
-TEST(CertificateResume, LifoAndMaxErrorRunsAreNotResumed) {
-  for (const TaskSet& ts : resume_pool()) {
-    for (const RevisionPolicy policy :
-         {RevisionPolicy::Lifo, RevisionPolicy::MaxError}) {
-      const PreparedSet ps(ts);
-      AllApproxOptions opts;
-      opts.revision = policy;
-      (void)all_approx_test(ps, opts);
-      EXPECT_EQ(ps.resumable_sweep(), nullptr);
-      expect_same(build_feasibility_certificate(ps),
-                  build_feasibility_certificate(ts), ts);
-
-      const Outcome out =
-          Query::single(TestKind::AllApprox, opts).run(ts);
-      if (out.feasible()) {
-        expect_same(out.certificate, build_feasibility_certificate(ts), ts);
-      }
-    }
-  }
 }
 
 }  // namespace
